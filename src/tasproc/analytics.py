@@ -121,9 +121,6 @@ def _gaussian_ball_mass(s, r, sigma, d):
     return out
 
 
-_SPHERE_SURFACE = {1: 2.0, 2: 2.0 * np.pi}
-
-
 def _sphere_surface(d):
     return 2.0 * np.pi ** (d / 2.0) / np.exp(gammaln(d / 2.0))
 

@@ -268,15 +268,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # DegenerateDataError is a ValueError, so it must be caught first.
+    except (estimation.DegenerateDataError, ArithmeticError) as exc:
+        print("numerical error: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValidationError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print("I/O error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    except ArithmeticError as exc:
-        print("numerical error: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

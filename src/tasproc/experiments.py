@@ -12,7 +12,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,7 +23,6 @@ from .model import IsotropicGaussian, TasParameters, UniformInterval, Window
 from .sampling import RandomSource, simulate_tas
 
 __all__ = [
-    "ExperimentConfig",
     "ReplicationReport",
     "replicate_table1",
     "replicate_fig3",
@@ -34,22 +33,6 @@ TABLE1_CELLS = [(0.6, 0.02), (0.6, 0.4), (0.8, 0.02), (0.8, 0.4)]
 TABLE1_WINDOW = Window([-500.0], [500.0])
 DEFAULT_P_VALUES = np.round(np.arange(0.3, 1.01, 0.1), 10)
 HARNESS_N_MAX = 10_000_000
-
-
-@dataclass
-class ExperimentConfig:
-    scenario_id: str
-    params: TasParameters
-    window: Window
-    replicates: int = 50
-    seed: int = 0
-    estimator: str = "void-thinned"
-    settings: dict = field(default_factory=dict)
-    out_dir: str | None = None
-
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicate count must be >= 1")
 
 
 @dataclass
@@ -75,11 +58,12 @@ class ReplicationReport:
     def summary(self):
         lines = []
         for row in self.rows:
+            se = ["n/a" if row[key] is None else "%.4f" % row[key]
+                  for key in ("alpha_se", "lambda_se")]
             lines.append(
-                "%-16s true=(%.3g, %.3g)  mean=(%.4f, %.4f)  se=(%.4f, %.4f)"
+                "%-16s true=(%.3g, %.3g)  mean=(%.4f, %.4f)  se=(%s, %s)"
                 % (row["scenario"], row["alpha_true"], row["lambda_true"],
-                   row["alpha_mean"], row["lambda_mean"],
-                   row["alpha_se"], row["lambda_se"])
+                   row["alpha_mean"], row["lambda_mean"], *se)
             )
         return "\n".join(lines)
 
@@ -114,6 +98,13 @@ def _run_map(worker, jobs_args, jobs):
     return [worker(a) for a in jobs_args]
 
 
+def _standard_error(values):
+    """Standard error of the mean; None (JSON null) below 2 replicates."""
+    if len(values) < 2:
+        return None
+    return float(values.std(ddof=1) / np.sqrt(len(values)))
+
+
 def replicate_table1(replicates=50, seed=0, estimator="void-thinned",
                      p_values=DEFAULT_P_VALUES, n_test=400, depth=60,
                      objective="direct-ls", jobs=1, out_dir=None,
@@ -135,10 +126,10 @@ def replicate_table1(replicates=50, seed=0, estimator="void-thinned",
             "alpha_true": alpha,
             "lambda_true": lam,
             "alpha_mean": float(a.mean()),
-            "alpha_se": float(a.std(ddof=1) / np.sqrt(len(a))),
+            "alpha_se": _standard_error(a),
             "alpha_median": float(np.median(a)),
             "lambda_mean": float(l.mean()),
-            "lambda_se": float(l.std(ddof=1) / np.sqrt(len(l))),
+            "lambda_se": _standard_error(l),
             "lambda_median": float(np.median(l)),
             "replicates": fits,
         }

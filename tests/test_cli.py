@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -122,6 +123,16 @@ class TestFit:
         code = main(["fit", "--in", str(pat), "--method", "void"])
         assert code == EXIT_USAGE
 
+    def test_degenerate_data_numeric_exit(self, tmp_path, capsys):
+        # One test point on the only pattern point: no positive radius left.
+        pat = tmp_path / "single.csv"
+        pat.write_text("x\n0\n")
+        code = main(["fit", "--in", str(pat), "--window=-5:5",
+                     "--method", "void", "--mu0", "uniform:1",
+                     "--test-points", "grid:1"])
+        assert code == EXIT_NUMERIC
+        assert "numerical error" in capsys.readouterr().err
+
 
 class TestGcurve:
     def test_writes_empirical_and_analytic_csv(self, tmp_path):
@@ -152,10 +163,22 @@ class TestReplicate:
         assert len(rows) > 5
         assert "relative_error" in capsys.readouterr().out
 
-    def test_table1_small_run(self, tmp_path):
+    def test_table1_small_run(self, tmp_path, capsys):
         code = main(["replicate", "table1", "--reps", "1", "--seed", "0",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
-        report = json.loads((tmp_path / "report.json").read_text())
+        # One replicate has no standard error: null in strict JSON, an empty
+        # CSV cell and "n/a" in the summary.
+        assert "se=(n/a, n/a)" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError("non-finite JSON constant %s" % name)
+
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=reject)
         assert len(report["rows"]) == 4
-        assert (tmp_path / "report.csv").exists()
+        for row in report["rows"]:
+            assert row["alpha_se"] is None and row["lambda_se"] is None
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["alpha_se"], r["lambda_se"]) for r in rows] == [("", "")] * 4

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasproc import (
     DegenerateDataError,
@@ -110,6 +112,57 @@ class TestThinnedContact:
         profile = DistanceProfile([[0.0]], [[1.0, 3.0]])
         with pytest.warns(UserWarning, match="tail bound"):
             thinned_contact_estimate(profile, 0.1, [2.0])
+
+
+@st.composite
+def tied_profiles_and_radii(draw):
+    """A profile with sorted rows on a coarse lattice (so distances tie
+    within and across rows), and strictly increasing radii drawn partly from
+    the profile's own distances, as fit_void draws them from its nearest
+    distances."""
+    n_test = draw(st.integers(1, 12))
+    depth = draw(st.integers(1, 9))
+    ticks = draw(st.lists(st.integers(0, 12), min_size=n_test * depth,
+                          max_size=n_test * depth))
+    dist = np.sort(np.reshape(ticks, (n_test, depth)) * 0.25, axis=1)
+    own = draw(st.lists(st.sampled_from(sorted(set(dist.ravel()))),
+                        max_size=6))
+    free = draw(st.lists(st.floats(0.0, 3.5), max_size=6))
+    radii = np.unique(np.array(own + free, dtype=float))
+    if radii.size == 0:
+        radii = dist[:1, 0]
+    return DistanceProfile(np.zeros((n_test, 1)), dist), radii
+
+
+retention = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@pytest.mark.filterwarnings("ignore:profile depth")
+class TestCountTransformProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_profiles_and_radii(), retention)
+    def test_matches_closed_form(self, case, p):
+        profile, radii = case
+        a = thinned_contact_estimate(profile, p, radii)
+        b = thinned_contact_closed_form(profile, p, radii)
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_profiles_and_radii())
+    def test_p_one_bit_identical_to_empirical(self, case):
+        profile, radii = case
+        a = empirical_contact(profile, radii)
+        b = thinned_contact_estimate(profile, 1.0, radii)
+        assert np.array_equal(a.values, b.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_profiles_and_radii(), retention,
+           st.sets(st.integers(1, 40), min_size=1, max_size=5))
+    def test_beyond_depth_is_tail_bound(self, case, p, steps):
+        profile, _ = case
+        radii = profile.distances.max() + 0.25 * np.array(sorted(steps))
+        curve = thinned_contact_estimate(profile, p, radii)
+        assert np.all(curve.values == (1.0 - p) ** profile.depth)
 
 
 class TestFitVoid:
