@@ -33,10 +33,12 @@ from .sampling import (
 )
 from .analytics import (
     CoverageIntegral,
+    PreparedCoverage,
     analytic_contact,
     count_pgf,
     coverage_integral,
     coverage_values,
+    prepare_coverage,
     sibuya_pgf,
     sibuya_pmf,
     sibuya_survival,
@@ -45,6 +47,7 @@ from .analytics import (
 from .estimation import (
     DegenerateDataError,
     FitResult,
+    ball_count_pgf,
     distance_profile,
     empirical_contact,
     estimate_alpha_from_cluster_sizes,

@@ -3,9 +3,11 @@ integral, void probabilities, contact curves, and the count p.g.f.
 
 The coverage integral I(r; alpha) = int mu0(B_r - x)^alpha dx is the
 geometry term of the void probability G(r) = exp(-lambda I(r; alpha)).
-For the uniform-interval mu0 it has a closed form; the Gaussian case is
-done by radial quadrature; empirical clouds use exact event-point
-decomposition in 1-D and plain Monte Carlo above.
+`prepare_coverage` does its alpha-independent work once per mu0 and set of
+radii: the uniform-interval mu0 has a closed form; the Gaussian case is done
+by radial quadrature over ball masses tabulated once; empirical clouds use
+exact event-point decomposition in 1-D and Monte Carlo over in-ball counts
+drawn once above.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
-from scipy.stats import chi2, ncx2
+from scipy.special import chdtr, chndtr, gammaln, ive, roots_legendre
 
 from .model import (
     ContactCurve,
@@ -27,6 +27,8 @@ from .model import (
 
 __all__ = [
     "CoverageIntegral",
+    "PreparedCoverage",
+    "prepare_coverage",
     "sibuya_pmf",
     "sibuya_survival",
     "sibuya_pgf",
@@ -94,9 +96,95 @@ def sibuya_pgf(alpha, t):
 @dataclass(frozen=True)
 class CoverageIntegral:
     value: float
-    method: str  # "closed-form" or "quadrature"
+    method: str  # "closed-form", "quadrature" or "monte-carlo"
     abs_error_bound: float = 0.0
 
+
+class PreparedCoverage:
+    """The coverage integrals I(r_i; alpha) of one mu0 on fixed radii.
+
+    Made by `prepare_coverage`, which does the alpha-independent work once.
+    `integrals(alpha)` returns the values and their absolute error bounds,
+    `values(alpha)` the values alone; alpha must lie in [alpha_min, 1].  A
+    quadrature whose bound exceeds max(1e-6, 1e-6 |I|) raises ArithmeticError.
+    """
+
+    def __init__(self, method, alpha_min, integrals):
+        self.method = method
+        self.alpha_min = alpha_min
+        self._integrals = integrals
+
+    def integrals(self, alpha):
+        if not self.alpha_min <= alpha <= 1.0:
+            raise ValidationError("alpha must lie in [%g, 1], the range the "
+                                  "coverage was prepared for" % self.alpha_min)
+        values, bounds = self._integrals(alpha)
+        if self.method == "quadrature" and np.any(
+                bounds > np.maximum(1e-6, 1e-6 * np.abs(values))):
+            raise ArithmeticError(
+                "quadrature failed its tolerance: achieved bound %g"
+                % np.max(bounds))
+        return values, bounds
+
+    def values(self, alpha):
+        return self.integrals(alpha)[0]
+
+
+def prepare_coverage(mu0, radii, window=None, alpha_min=0.01):
+    """Prepare I(r; alpha) = int mu0(B_r - x)^alpha dx, over R^d or over
+    `window`, for each radius in `radii` and any alpha in [alpha_min, 1].
+
+    Methods by mu0: a uniform interval has a closed form; a Gaussian is
+    integrated radially by Gauss-Legendre quadrature over ball masses
+    tabulated once; a 1-D empirical cloud is exact by event decomposition, a
+    higher-dimensional one is Monte Carlo over in-ball counts drawn once.  On
+    a window the uniform and Gaussian integrals fall back to adaptive
+    quadrature per radius and alpha.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if not np.all(radii > 0):
+        raise ValidationError("radius must be > 0")
+    if not 0.0 < alpha_min <= 1.0:
+        raise ValidationError("alpha must lie in (0, 1]")
+    prepare = _PREPARERS.get(type(mu0))
+    if prepare is None:
+        raise ValidationError("unsupported cluster distribution %r" % (mu0,))
+    method, integrals = prepare(mu0, radii, window, alpha_min)
+    return PreparedCoverage(method, alpha_min, integrals)
+
+
+def coverage_integral(mu0, radius, alpha, window=None):
+    """I(r; alpha) = int mu0(B_r - x)^alpha dx over R^d, or over `window`."""
+    coverage = prepare_coverage(mu0, [radius], window=window, alpha_min=alpha)
+    values, bounds = coverage.integrals(alpha)
+    return CoverageIntegral(float(values[0]), coverage.method, float(bounds[0]))
+
+
+def coverage_values(mu0, radii, alpha, window=None):
+    """I(r; alpha) over a radius array."""
+    return prepare_coverage(mu0, radii, window=window,
+                            alpha_min=alpha).values(alpha)
+
+
+def _per_radius(radii, integral):
+    """alpha -> (values, bounds) from a scalar integral(radius, alpha) that
+    returns (value, bound)."""
+    def integrals(alpha):
+        out = np.array([integral(r, alpha) for r in radii],
+                       dtype=float).reshape(-1, 2)
+        return out[:, 0], out[:, 1]
+    return integrals
+
+
+def _gauss_legendre(n, lo, hi):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each panel
+    [lo, hi]; a new last axis runs over the nodes."""
+    x, w = roots_legendre(n)
+    half = 0.5 * (hi - lo)[..., None]
+    return lo[..., None] + half * (1.0 + x), half * w
+
+
+# Uniform interval
 
 def _uniform_coverage(h, r, alpha):
     """Closed form of int (|[x-r, x+r] cap [-h, h]| / 2h)^alpha dx, vectorized in r.
@@ -112,33 +200,129 @@ def _uniform_coverage(h, r, alpha):
     return plateau + ramps
 
 
+def _uniform_coverage_window(h, radius, alpha, window):
+    from scipy import integrate
+
+    lo = max(window.lower[0], -(h + radius))
+    hi = min(window.upper[0], h + radius)
+    if hi <= lo:
+        return 0.0, 0.0
+
+    def integrand(x):
+        overlap = max(0.0, min(h, x + radius) - max(-h, x - radius))
+        return (overlap / (2.0 * h)) ** alpha
+
+    pts = [p for p in (-h - radius, -abs(h - radius), abs(h - radius), h + radius)
+           if lo < p < hi]
+    return integrate.quad(integrand, lo, hi, epsabs=QUAD_TOL, limit=200,
+                          points=pts or None)
+
+
+def _prepare_uniform(mu0, radii, window, alpha_min):
+    h = mu0.halfwidth
+    if window is None:
+        return "closed-form", lambda alpha: (_uniform_coverage(h, radii, alpha),
+                                             np.zeros(radii.size))
+    return "quadrature", _per_radius(
+        radii, lambda r, alpha: _uniform_coverage_window(h, r, alpha, window))
+
+
+# Isotropic Gaussian
+
+# Gauss-Legendre nodes per panel of the radial rule; the error bound compares
+# it with the rule of twice as many nodes on the same panels.
+_RADIAL_NODES = 8
+# Panels in y of the Bessel-form mass, as fractions of the y range.
+_BESSEL_PANELS = np.array([0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
+
+
 def _gaussian_ball_mass(s, r, sigma, d):
     """mu0(B_r(x)) for |x| = s under an isotropic N(0, sigma^2 I_d)."""
     s = np.asarray(s, dtype=float)
     q = (r / sigma) ** 2
     nc = (s / sigma) ** 2
-    out = np.where(nc == 0.0, chi2.cdf(q, d), ncx2.cdf(q, d, np.maximum(nc, 1e-300)))
+    return np.where(nc == 0.0, chdtr(d, q), chndtr(q, d, nc))
+
+
+def _gaussian_log_mass(u, rho, d):
+    """log M(u) for M(u) = P(|X - u e| <= rho), X ~ N(0, I_d), elementwise.
+
+    chndtr matches the exact mass to 1e-13 relative down to about 1e-45, then
+    drifts (relative error 1e-5 at 4e-48 for d = 3) and underflows to 0, so
+    masses under 1e-30 come from the Bessel form instead.
+    """
+    u, rho = np.broadcast_arrays(u, rho)
+    mass = chndtr(rho * rho, d, u * u)
+    far = mass < 1e-30
+    out = np.log(np.where(far, 1.0, mass))
+    out[far] = _gaussian_log_mass_bessel(u[far], rho[far], d)
     return out
+
+
+def _gaussian_log_mass_bessel(u, rho, d):
+    """log M(u) from M(u) = int_0^rho t (t/u)^nu ive(nu, t u) e^{-(u-t)^2/2} dt,
+    nu = d/2 - 1, with e^{-(u-rho)^2/2} taken out so that M may lie far below
+    the smallest double.
+
+    With y = rho - t the rest of the integrand carries e^{-y (u-rho) - y^2/2};
+    y runs to where that exponent reaches -50, on panels graded towards 0.
+    """
+    nu = 0.5 * d - 1.0
+    gap = u - rho
+    y_max = np.minimum(rho, 100.0 / (np.sqrt(gap * gap + 100.0) + gap))
+    y, w = _gauss_legendre(10, y_max[:, None] * _BESSEL_PANELS[:-1],
+                           y_max[:, None] * _BESSEL_PANELS[1:])
+    t = rho[:, None, None] - y
+    uu = u[:, None, None]
+    f = t * np.exp(nu * np.log(t / uu) - y * gap[:, None, None] - 0.5 * y * y)
+    f *= ive(nu, t * uu)
+    return -0.5 * gap * gap + np.log(np.sum(w * f, axis=(1, 2)))
 
 
 def _sphere_surface(d):
     return 2.0 * np.pi ** (d / 2.0) / np.exp(gammaln(d / 2.0))
 
 
-def _gaussian_coverage_fullspace(mu0, radius, alpha):
+def _prepare_gaussian(mu0, radii, window, alpha_min):
+    """I = surf sigma^d int_0^inf M(u)^alpha u^(d-1) du in units of sigma,
+    with M(u) the mass of the ball of radius rho = r / sigma at distance u.
+
+    The panels break at rho, are graded towards it from both sides (widths 1,
+    2, 4, ... in sigma) and end at the reach where M^alpha_min has fallen
+    below e^-40.  log M is tabulated once on the nodes of both rules, so an
+    alpha costs two exponentials per node.
+    """
+    if window is not None:
+        return "quadrature", _per_radius(
+            radii, lambda r, alpha: _gaussian_coverage_window(mu0, r, alpha,
+                                                              window))
     d, sigma = mu0.dim, mu0.sigma
-    s_max = radius + sigma * max(12.0, np.sqrt(80.0 / alpha) + np.sqrt(2.0 * d))
+    rho = (radii / sigma)[:, None]
+    k = np.arange(4.0)
+    inner = np.maximum(rho - 2.0 ** k, rho / 2.0 ** (k + 1.0))[:, ::-1]
+    reach = max(12.0, np.sqrt(80.0 / alpha_min) + np.sqrt(2.0 * d))
+    outer = np.append(2.0 ** np.arange(np.ceil(np.log2(reach))), reach)
+    breaks = np.hstack([np.zeros_like(rho), inner, rho, rho + outer])
+    scale = _sphere_surface(d) * sigma ** d
+    rules = []
+    for n in (_RADIAL_NODES, 2 * _RADIAL_NODES):
+        u, w = _gauss_legendre(n, breaks[:, :-1], breaks[:, 1:])
+        u, w = u.reshape(rho.size, -1), w.reshape(rho.size, -1)
+        rules.append((_gaussian_log_mass(u, rho, d), scale * w * u ** (d - 1)))
+    (log_coarse, w_coarse), (log_fine, w_fine) = rules
+    # Rounding allowance: one ulp of the value per node summed.
+    ulps = w_fine.shape[1] * np.finfo(float).eps
 
-    def integrand(s):
-        return _gaussian_ball_mass(s, radius, sigma, d) ** alpha * s ** (d - 1)
-
-    val, err = integrate.quad(integrand, 0.0, s_max, epsabs=QUAD_TOL,
-                              epsrel=1e-12, limit=300, points=[radius])
-    surf = _sphere_surface(d)
-    return surf * val, surf * err
+    def integrals(alpha):
+        coarse = np.sum(w_coarse * np.exp(alpha * log_coarse), axis=1)
+        fine = np.sum(w_fine * np.exp(alpha * log_fine), axis=1)
+        return fine, np.abs(fine - coarse) + ulps * fine
+    return "quadrature", integrals
 
 
 def _gaussian_coverage_window(mu0, radius, alpha, window):
+    from scipy import integrate
+
     d, sigma = mu0.dim, mu0.sigma
     reach = radius + 12.0 * sigma
     if d == 1:
@@ -166,8 +350,13 @@ def _gaussian_coverage_window(mu0, radius, alpha, window):
     raise ValidationError("window-domain Gaussian coverage supports d <= 2")
 
 
-def _empirical_coverage_1d(mu0, radius, alpha, window):
-    """Exact 1-D integral: mu0(B_r - x) is piecewise constant in x."""
+# Empirical cloud
+
+_MC_SAMPLES = 200_000
+
+
+def _empirical_pieces_1d(mu0, radius, window):
+    """Lengths and masses of the pieces on which mu0(B_r - x) is constant."""
     y = mu0.points[:, 0]
     n = y.size
     events = np.concatenate([-y - radius, -y + radius])
@@ -175,17 +364,17 @@ def _empirical_coverage_1d(mu0, radius, alpha, window):
         events = np.clip(events, window.lower[0], window.upper[0])
         events = np.concatenate([events, [window.lower[0], window.upper[0]]])
     events = np.unique(events)
-    if events.size < 2:
-        return 0.0
     mids = 0.5 * (events[:-1] + events[1:])
     # mass at x: fraction of cloud points with |y + x| <= r
     mass = (np.abs(y[None, :] + mids[:, None]) <= radius).sum(axis=1) / n
-    lengths = np.diff(events)
-    return float(np.sum(lengths * np.where(mass > 0, mass, 0.0) ** alpha))
+    return np.diff(events), mass
 
 
-def _empirical_coverage_mc(mu0, radius, alpha, window, n_samples=200_000):
+def _empirical_counts_mc(mu0, radius, window):
+    """Volume of the sampled box and the histogram, over uniform samples x,
+    of the number of cloud points y with ||y + x|| <= r."""
     d = mu0.dimension
+    pts = mu0.points
     reach = radius + mu0.effective_radius
     lo = np.full(d, -reach)
     hi = np.full(d, reach)
@@ -193,81 +382,46 @@ def _empirical_coverage_mc(mu0, radius, alpha, window, n_samples=200_000):
         lo = np.maximum(lo, window.lower)
         hi = np.minimum(hi, window.upper)
         if np.any(hi <= lo):
-            return 0.0, 0.0
-    vol = float(np.prod(hi - lo))
+            return 0.0, np.zeros(pts.shape[0] + 1)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
-    x = gen.uniform(lo, hi, size=(n_samples, d))
-    # mass at x: fraction of cloud points y with ||y + x|| <= r
-    vals = np.empty(n_samples)
-    pts = mu0.points
+    x = gen.uniform(lo, hi, size=(_MC_SAMPLES, d))
+    counts = np.empty(_MC_SAMPLES, dtype=np.int64)
     chunk = max(1, 10_000_000 // max(1, pts.shape[0]))
-    for start in range(0, n_samples, chunk):
+    for start in range(0, _MC_SAMPLES, chunk):
         block = x[start:start + chunk]
         d2 = np.sum((pts[None, :, :] + block[:, None, :]) ** 2, axis=2)
-        vals[start:start + chunk] = (d2 <= radius ** 2).mean(axis=1)
-    f = vals ** alpha
-    mean = float(f.mean())
-    se = float(f.std(ddof=1) / np.sqrt(n_samples))
-    return vol * mean, 3.0 * vol * se
+        counts[start:start + chunk] = (d2 <= radius ** 2).sum(axis=1)
+    return float(np.prod(hi - lo)), np.bincount(counts,
+                                                minlength=pts.shape[0] + 1)
 
 
-def coverage_integral(mu0, radius, alpha, window=None):
-    """I(r; alpha) = int mu0(B_r - x)^alpha dx over R^d, or over `window`."""
-    if radius <= 0:
-        raise ValidationError("radius must be > 0")
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError("alpha must lie in (0, 1]")
+def _prepare_empirical(mu0, radii, window, alpha_min):
+    if mu0.dimension == 1:
+        pieces = [_empirical_pieces_1d(mu0, r, window) for r in radii]
 
-    if isinstance(mu0, UniformInterval):
-        if window is None:
-            return CoverageIntegral(float(_uniform_coverage(mu0.halfwidth, radius,
-                                                            alpha)),
-                                    "closed-form")
-        h = mu0.halfwidth
-        lo = max(window.lower[0], -(h + radius))
-        hi = min(window.upper[0], h + radius)
-        if hi <= lo:
-            return CoverageIntegral(0.0, "closed-form")
+        def exact(alpha):
+            values = [np.sum(lengths * mass ** alpha) for lengths, mass in pieces]
+            return np.array(values, dtype=float), np.zeros(radii.size)
+        return "closed-form", exact
 
-        def integrand(x):
-            overlap = max(0.0, min(h, x + radius) - max(-h, x - radius))
-            return (overlap / (2.0 * h)) ** alpha
+    n = mu0.points.shape[0]
+    vols, hists = (np.array(a) for a in zip(
+        *(_empirical_counts_mc(mu0, r, window) for r in radii)))
 
-        pts = [p for p in (-h - radius, -abs(h - radius), abs(h - radius), h + radius)
-               if lo < p < hi]
-        val, err = integrate.quad(integrand, lo, hi, epsabs=QUAD_TOL,
-                                  limit=200, points=pts or None)
-        return CoverageIntegral(val, "quadrature", err)
-
-    if isinstance(mu0, IsotropicGaussian):
-        if window is None:
-            val, err = _gaussian_coverage_fullspace(mu0, radius, alpha)
-        else:
-            val, err = _gaussian_coverage_window(mu0, radius, alpha, window)
-        if err > max(1e-6, 1e-6 * abs(val)):
-            raise ArithmeticError(
-                "quadrature failed its tolerance: achieved bound %g" % err
-            )
-        return CoverageIntegral(val, "quadrature", err)
-
-    if isinstance(mu0, EmpiricalCloud):
-        if mu0.dimension == 1:
-            return CoverageIntegral(
-                _empirical_coverage_1d(mu0, radius, alpha, window), "closed-form"
-            )
-        val, bound = _empirical_coverage_mc(mu0, radius, alpha, window)
-        return CoverageIntegral(val, "quadrature", bound)
-
-    raise ValidationError("unsupported cluster distribution %r" % (mu0,))
+    def monte_carlo(alpha):
+        # Plain Monte Carlo mean of mass^alpha, with three standard errors.
+        f = (np.arange(n + 1) / n) ** alpha
+        mean = hists @ f / _MC_SAMPLES
+        var = np.sum(hists * (f - mean[:, None]) ** 2, axis=1) / (_MC_SAMPLES - 1)
+        return vols * mean, 3.0 * vols * np.sqrt(var / _MC_SAMPLES)
+    return "monte-carlo", monte_carlo
 
 
-def coverage_values(mu0, radii, alpha, window=None):
-    """Vectorized I(r; alpha) over a radius array (fast path for fitting)."""
-    radii = np.asarray(radii, dtype=float)
-    if isinstance(mu0, UniformInterval) and window is None:
-        return _uniform_coverage(mu0.halfwidth, radii, alpha)
-    return np.array([coverage_integral(mu0, r, alpha, window=window).value
-                     for r in radii])
+_PREPARERS = {
+    UniformInterval: _prepare_uniform,
+    IsotropicGaussian: _prepare_gaussian,
+    EmpiricalCloud: _prepare_empirical,
+}
 
 
 # ---------------------------------------------------------------------------

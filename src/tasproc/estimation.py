@@ -13,7 +13,13 @@ import numpy as np
 from scipy import optimize
 from scipy.spatial import cKDTree
 
-from .analytics import coverage_integral, coverage_values
+# coverage_integral and coverage_values stay importable from this module:
+# perfbench/tracing.py hooks the coverage layer under these names.
+from .analytics import (  # noqa: F401
+    coverage_integral,
+    coverage_values,
+    prepare_coverage,
+)
 from .model import (
     ContactCurve,
     DistanceProfile,
@@ -30,6 +36,7 @@ __all__ = [
     "empirical_contact",
     "thinned_contact_estimate",
     "thinned_contact_closed_form",
+    "ball_count_pgf",
     "g_estimate_from_thinned",
     "fit_void",
     "fit_count_pgf",
@@ -163,10 +170,9 @@ def thinned_contact_estimate(profile, p, radii):
     counts = counts.reshape(n, m + 1)[:, :m].cumsum(axis=1)
     counts += np.arange(m) * (k + 1)
     hist = np.bincount(counts.ravel(), minlength=m * (k + 1)).reshape(m, k + 1)
-    # Frequencies times weights keep p = 1 and N = K exact; the scalar pow
-    # matches the tail bound (1-p)^K bit for bit, numpy's SIMD power may not.
-    weights = np.array([(1.0 - p) ** j for j in range(k + 1)])
-    return ContactCurve(radii, (hist / n) @ weights)
+    # Frequencies times weights keep p = 1 and N = K exact, and the tail
+    # weight is the bound (1-p)^K bit for bit.
+    return ContactCurve(radii, (hist / n) @ _powers(1.0 - p, range(k + 1)))
 
 
 def thinned_contact_closed_form(profile, p, radii):
@@ -176,6 +182,26 @@ def thinned_contact_closed_form(profile, p, radii):
     radii = np.asarray(radii, dtype=float)
     counts = np.sum(profile.distances[:, :, None] <= radii[None, None, :], axis=1)
     return ContactCurve(radii, np.mean((1.0 - p) ** counts, axis=0))
+
+
+def _powers(z, exponents):
+    """[z ** k for k in exponents] by Python's scalar pow: exact at z = 0 and
+    1, and free of numpy's SIMD power routine, which on some hosts differs
+    from libm pow in the last place."""
+    z = float(z)
+    return np.array([z ** int(k) for k in exponents])
+
+
+def ball_count_pgf(counts, z):
+    """Empirical p.g.f. mean_i z^{N_i} of integer ball counts N_i, per z.
+
+    The frequencies of the distinct counts are weighted by `_powers` and
+    summed before the division, so z = 0 gives exactly the share of empty
+    balls and z = 1 gives 1.
+    """
+    values, freq = np.unique(np.asarray(counts), return_counts=True)
+    return np.array([freq @ _powers(zj, values) for zj in np.atleast_1d(z)]
+                    ) / freq.sum()
 
 
 def g_estimate_from_thinned(profile, p, alpha, radii):
@@ -233,8 +259,11 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", window=None,
     idx_arr = np.concatenate(index)
     ghat = all_vals
 
+    coverage = prepare_coverage(mu0, unique_r, window=window,
+                                alpha_min=alpha_bounds[0])
+
     def model_values(alpha, lam):
-        cov = coverage_values(mu0, unique_r, alpha, window=window)
+        cov = coverage.values(alpha)
         return np.exp(-lam * p_arr ** alpha * cov[idx_arr])
 
     pos = ghat > 0.0
@@ -243,7 +272,7 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", window=None,
     log_ghat = np.log(ghat[pos])
 
     def profiled_lambda(alpha):
-        cov = coverage_values(mu0, unique_r, alpha, window=window)
+        cov = coverage.values(alpha)
         x = (p_arr ** alpha * cov[idx_arr])[pos]
         denom = float(x @ x)
         if denom == 0.0:
@@ -252,7 +281,7 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", window=None,
 
     if objective == "log-profiled-ls":
         def scalar_obj(alpha):
-            cov = coverage_values(mu0, unique_r, alpha, window=window)
+            cov = coverage.values(alpha)
             x = (p_arr ** alpha * cov[idx_arr])[pos]
             lam = max(0.0, float(-(x @ log_ghat) / max(float(x @ x), 1e-300)))
             resid = log_ghat + lam * x
@@ -305,17 +334,11 @@ def fit_pgf_curve(z_grid, g_values, mu0, radius, window=None,
     if z.size < 2:
         raise DegenerateDataError("fewer than 2 usable z values")
     y = np.log(g)
-
-    cov_cache = {}
-
-    def cov_of(alpha):
-        if alpha not in cov_cache:
-            cov_cache[alpha] = coverage_integral(mu0, radius, alpha,
-                                                 window=window).value
-        return cov_cache[alpha]
+    coverage = prepare_coverage(mu0, [radius], window=window,
+                                alpha_min=alpha_bounds[0])
 
     def profiled(alpha):
-        x = (1.0 - z) ** alpha * cov_of(alpha)
+        x = (1.0 - z) ** alpha * coverage.values(alpha)[0]
         lam = max(0.0, float(-(x @ y) / max(float(x @ x), 1e-300)))
         resid = y + lam * x
         return lam, float(resid @ resid)
@@ -345,7 +368,7 @@ def fit_count_pgf(pattern, radius, z_grid, mu0, window_correction=False,
     test_points = pattern.window.erode(radius).grid_points(n_test_points)
     tree = cKDTree(pattern.points)
     counts = tree.query_ball_point(test_points, r=radius, return_length=True)
-    ghat = np.mean(np.power(z[:, None], counts[None, :]), axis=1)
+    ghat = ball_count_pgf(counts, z)
     window = pattern.window if window_correction else None
     result = fit_pgf_curve(z, ghat, mu0, radius, window=window,
                            alpha_bounds=alpha_bounds, max_iter=max_iter)

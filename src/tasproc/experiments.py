@@ -18,8 +18,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .analytics import analytic_contact
-from .estimation import distance_profile, fit_void, grid_test_points
-from .model import IsotropicGaussian, TasParameters, UniformInterval, Window
+from .estimation import (ball_count_pgf, distance_profile, fit_void,
+                         grid_test_points)
+from .model import (IsotropicGaussian, TasParameters, UniformInterval,
+                    ValidationError, Window)
 from .sampling import RandomSource, simulate_tas
 
 __all__ = [
@@ -98,6 +100,11 @@ def _run_map(worker, jobs_args, jobs):
     return [worker(a) for a in jobs_args]
 
 
+def _check_replicates(replicates):
+    if replicates < 1:
+        raise ValidationError("replicates must be >= 1")
+
+
 def _standard_error(values):
     """Standard error of the mean; None (JSON null) below 2 replicates."""
     if len(values) < 2:
@@ -111,6 +118,7 @@ def replicate_table1(replicates=50, seed=0, estimator="void-thinned",
                      cells=TABLE1_CELLS):
     """Mean (alpha_hat, lambda_hat) over replicates for each (alpha, lambda)
     cell of the 1-D uniform-cluster model on W = [-500, 500]."""
+    _check_replicates(replicates)
     rows = []
     for scenario_index, (alpha, lam) in enumerate(cells):
         scenario = "a%g_l%g" % (alpha, lam)
@@ -168,11 +176,8 @@ def _fig3_replicate(args):
     counts = cKDTree(pattern.points).query_ball_point(
         test_points, r=radius, return_length=True)
     alpha = FIG3_PARAMS.alpha
-    out = []
-    for p in p_grid:
-        g_thinned = float(np.mean((1.0 - p) ** counts))
-        out.append(g_thinned ** (p ** -alpha))
-    return out
+    g_thinned = ball_count_pgf(counts, [1.0 - p for p in p_grid])
+    return [float(g ** (p ** -alpha)) for g, p in zip(g_thinned, p_grid)]
 
 
 def replicate_fig3(replicates=200, seed=0, radius=1.0, p_grid=FIG3_P_GRID,
@@ -184,6 +189,7 @@ def replicate_fig3(replicates=200, seed=0, radius=1.0, p_grid=FIG3_P_GRID,
     tail via G = G_p^(p^-alpha) at the true alpha; p=1 is the plain empirical
     contact estimator.  Returns (p_grid, relative_errors).
     """
+    _check_replicates(replicates)
     p_grid = np.asarray(p_grid, dtype=float)
     g_true = float(analytic_contact(FIG3_PARAMS, [radius]).values[0])
     args = [(seed, rep, radius, tuple(p_grid), n_test)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -13,6 +15,7 @@ from tasproc import (
     count_pgf,
     coverage_integral,
     coverage_values,
+    prepare_coverage,
     sibuya_pgf,
     sibuya_pmf,
     sibuya_survival,
@@ -106,6 +109,51 @@ class TestCoverageIntegral:
         b, _ = integrate.quad(integrand, 0.0, 40.0, epsabs=1e-13, limit=500)
         assert a == pytest.approx(2 * np.pi * b, abs=1e-6)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    def test_gaussian_matches_adaptive_quadrature(self, alpha, d):
+        # Scalar adaptive quadrature of the radial integral, as the library
+        # computed it before the prepared operator.
+        s_max = 1.0 + max(12.0, np.sqrt(80.0 / alpha) + np.sqrt(2.0 * d))
+
+        def integrand(s):
+            return _gaussian_ball_mass(s, 1.0, 1.0, d) ** alpha * s ** (d - 1)
+
+        val, _ = integrate.quad(integrand, 0.0, s_max, epsabs=1e-10,
+                                epsrel=1e-12, limit=300, points=[1.0])
+        reference = 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0) * val
+        res = coverage_integral(IsotropicGaussian(d, 1.0), 1.0, alpha)
+        assert res.method == "quadrature"
+        assert abs(res.value - reference) <= 1e-12 * reference
+        assert res.abs_error_bound >= abs(res.value - reference)
+
+    # mpmath at 30 digits, with the mass of the unit ball of N(0, I_2) at
+    # distance u as the Marcum-Q series exp(-(u^2+1)/2) sum_k u^-k I_k(u):
+    #
+    #   import mpmath as mp
+    #   mp.mp.dps = 30
+    #   def mass(u):
+    #       return mp.exp(-(u * u + 1) / 2) * mp.nsum(
+    #           lambda k: u ** -k * mp.besseli(k, u), [1, mp.inf])
+    #   for a in ("0.01", "0.05", "0.1"):
+    #       a = mp.mpf(a)
+    #       print(2 * mp.pi * mp.quad(lambda u: mass(u) ** a * u,
+    #             [0, 0.5, 1, 1.5, 2, 3, 5, 9, 17, 33, 65, 129, 200]))
+    #
+    # The integrand beyond u = 200 is below exp(-190) for these alpha.
+    @pytest.mark.parametrize("alpha, reference", [
+        (0.01, 679.10339498418165227),
+        (0.05, 138.77361408429797374),
+        (0.1, 68.058251916203163125),
+    ])
+    def test_gaussian_small_alpha_against_high_precision(self, alpha,
+                                                         reference):
+        # Most of I(r; 0.01) comes from centres tens of sigma away, where the
+        # ball mass lies below the smallest double.
+        res = coverage_integral(IsotropicGaussian(2, 1.0), 1.0, alpha)
+        assert abs(res.value - reference) <= 1e-12 * reference
+        assert res.abs_error_bound >= abs(res.value - reference)
+
     def test_uniform_monotone_in_radius_and_alpha(self):
         radii = np.linspace(0.05, 1.0, 20)
         alphas = np.linspace(0.2, 1.0, 9)
@@ -141,6 +189,7 @@ class TestCoverageIntegral:
         mass = (d2 <= 0.8 ** 2).mean(axis=1)
         cell = (grid[1] - grid[0]) ** 2
         oracle = np.sum(mass ** 0.7) * cell
+        assert res.method == "monte-carlo"
         assert abs(res.value - oracle) < max(3 * res.abs_error_bound, 0.02)
 
     def test_window_domain_is_at_most_fullspace(self):
@@ -157,6 +206,43 @@ class TestCoverageIntegral:
             coverage_integral(UniformInterval(1.0), -1.0, 0.5)
         with pytest.raises(ValidationError):
             coverage_integral(UniformInterval(1.0), 1.0, 1.5)
+
+
+class TestPreparedCoverage:
+    radii = [0.3, 1.0, 2.5]
+
+    @pytest.mark.parametrize("mu0", [
+        UniformInterval(1.0),
+        IsotropicGaussian(2, 0.8),
+        EmpiricalCloud([[-0.5], [0.2], [0.9]]),
+        EmpiricalCloud(np.random.default_rng(3).normal(0, 0.5, (20, 2))),
+    ])
+    def test_values_match_coverage_integral(self, mu0):
+        coverage = prepare_coverage(mu0, self.radii, alpha_min=0.2)
+        for alpha in (0.2, 0.65, 1.0):
+            for r, value in zip(self.radii, coverage.values(alpha)):
+                single = coverage_integral(mu0, r, alpha)
+                assert value == pytest.approx(single.value, rel=1e-13)
+                assert coverage.method == single.method
+
+    def test_window_domain_matches_coverage_integral(self):
+        mu0, w = IsotropicGaussian(1, 1.0), Window([-2.0], [5.0])
+        values = prepare_coverage(mu0, self.radii, window=w).values(0.6)
+        assert values == pytest.approx(
+            [coverage_integral(mu0, r, 0.6, window=w).value
+             for r in self.radii], rel=1e-13)
+
+    def test_alpha_outside_prepared_range_rejected(self):
+        coverage = prepare_coverage(IsotropicGaussian(2, 1.0), [1.0],
+                                    alpha_min=0.2)
+        with pytest.raises(ValidationError):
+            coverage.values(0.1)
+        with pytest.raises(ValidationError):
+            coverage.values(1.5)
+        with pytest.raises(ValidationError):
+            prepare_coverage(UniformInterval(1.0), [1.0], alpha_min=0.0)
+        with pytest.raises(ValidationError):
+            prepare_coverage(UniformInterval(1.0), [0.0, 1.0])
 
 
 class TestContactAndPgf:

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tasproc
 from tasproc.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -163,6 +167,14 @@ class TestReplicate:
         assert len(rows) > 5
         assert "relative_error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("which", ["table1", "fig3"])
+    def test_zero_replicates_is_usage_error(self, tmp_path, capsys, which):
+        out = tmp_path / "out"
+        code = main(["replicate", which, "--reps", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "replicates must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_table1_small_run(self, tmp_path, capsys):
         code = main(["replicate", "table1", "--reps", "1", "--seed", "0",
                      "--out", str(tmp_path)])
@@ -182,3 +194,24 @@ class TestReplicate:
         with open(tmp_path / "report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["alpha_se"], r["lambda_se"]) for r in rows] == [("", "")] * 4
+
+
+def test_pgf_fit_imports_neither_scipy_stats_nor_integrate(tmp_path):
+    pat = tmp_path / "pat.csv"
+    assert main(["simulate", "--alpha", "0.7", "--lambda", "0.1",
+                 "--mu0", "gauss:2:1", "--window=-10:10,-10:10",
+                 "--seed", "3", "--out", str(pat)]) == EXIT_OK
+    script = "\n".join([
+        "import sys",
+        "import tasproc, tasproc.cli",
+        "code = tasproc.cli.main(['fit', '--in', sys.argv[1], '--method', "
+        "'pgf', '--mu0', 'gauss:2:1', '--out', sys.argv[1] + '.fit.json'])",
+        "print(code, [m for m in ('scipy.stats', 'scipy.integrate')",
+        "             if m in sys.modules])",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tasproc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(pat)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -12,6 +12,7 @@ from tasproc import (
     UniformInterval,
     ValidationError,
     Window,
+    ball_count_pgf,
     count_pgf,
     distance_profile,
     empirical_contact,
@@ -202,6 +203,21 @@ class TestFitVoid:
         flat = {1.0: ContactCurve([1.0, 2.0], [1.0, 1.0])}
         with pytest.raises(DegenerateDataError):
             fit_void(flat, self.mu0)
+
+
+class TestBallCountPgf:
+    def test_matches_direct_mean(self):
+        gen = np.random.default_rng(11)
+        counts = np.concatenate([gen.poisson(3.0, 300),
+                                 gen.zipf(1.6, 100) % 5000])
+        z = np.concatenate([np.arange(0.1, 0.95, 0.1), gen.uniform(0, 1, 20)])
+        direct = np.mean(np.power(z[:, None], counts[None, :]), axis=1)
+        assert np.max(np.abs(ball_count_pgf(counts, z) - direct)) <= 1e-15
+
+    def test_exact_at_zero_and_one(self):
+        counts = np.array([0, 3, 0, 1, 7, 0, 2])
+        assert ball_count_pgf(counts, [0.0])[0] == np.mean(counts == 0)
+        assert ball_count_pgf(counts, [1.0])[0] == 1.0
 
 
 class TestFitCountPgf:
