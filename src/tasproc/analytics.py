@@ -428,11 +428,9 @@ _PREPARERS = {
 # Contact curves and count p.g.f.
 
 def analytic_contact(params, radii, window=None):
-    """G(r) = exp(-lambda * I(r; alpha)) on an ascending radius grid."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.exp(-params.lam * coverage_values(params.mu0, radii, params.alpha,
-                                                  window=window))
-    return ContactCurve(radii, values)
+    """G(r) = exp(-lambda * I(r; alpha)) on an ascending radius grid: the
+    p = 1 slice of `thinned_contact_analytic`."""
+    return thinned_contact_analytic(params, 1.0, radii, window=window)
 
 
 def count_pgf(params, radius, z, window=None):

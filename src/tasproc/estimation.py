@@ -147,22 +147,18 @@ def thinned_contact_estimate(profile, p, radii):
     Returns mean_i (1-p)^{N_i(r)}, the conditional void probability given the
     pattern, where N_i(r) = #{k : r_{i,k} <= r} counts the recorded neighbours
     of test point i within r, capped at the depth K; N = K leaves the tail
-    (1-p)^K that every recorded point is thinned away.  The counts come from
-    a searchsorted of the profile into the (strictly increasing) radii and a
-    per-row bincount and cumsum; their histogram per radius is then weighted
-    by (1-p)^N.  Cost O(nK log R + nR) for n test points and R radii.
+    (1-p)^K that every recorded point is thinned away.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValidationError("retention probability must lie in (0, 1]")
     radii = np.asarray(radii, dtype=float)
+    return ContactCurve(radii, _thinned_values(_count_freq(profile, radii), p))
+
+
+def _count_freq(profile, radii):
+    """freq[j, N] = #{i : N_i(r_j) = N} / n over the n test points, from a
+    searchsorted of the profile into the (strictly increasing) radii and a
+    per-row bincount and cumsum: O(nK log R + nR) for R radii."""
+    # Row i of the cumsum is N_i(r_j).
     k = profile.depth
-    if p < 1.0 and (1.0 - p) ** k > 1e-3:
-        warnings.warn(
-            "profile depth %d leaves a geometric tail bound of %.3g at p=%.3g"
-            % (k, (1.0 - p) ** k, p),
-            stacklevel=2,
-        )
-    # Row i of the cumsum is N_i(r_j); hist[j, N] = #{i : N_i(r_j) = N}.
     n, m = profile.distances.shape[0], radii.size
     steps = np.searchsorted(radii, profile.distances, side="left")
     steps += np.arange(n)[:, None] * (m + 1)
@@ -170,9 +166,23 @@ def thinned_contact_estimate(profile, p, radii):
     counts = counts.reshape(n, m + 1)[:, :m].cumsum(axis=1)
     counts += np.arange(m) * (k + 1)
     hist = np.bincount(counts.ravel(), minlength=m * (k + 1)).reshape(m, k + 1)
+    return hist / n
+
+
+def _thinned_values(freq, p):
+    """mean_i (1-p)^{N_i(r)} per radius, from `_count_freq`."""
+    if not 0.0 < p <= 1.0:
+        raise ValidationError("retention probability must lie in (0, 1]")
+    k = freq.shape[1] - 1
+    if p < 1.0 and (1.0 - p) ** k > 1e-3:
+        warnings.warn(
+            "profile depth %d leaves a geometric tail bound of %.3g at p=%.3g"
+            % (k, (1.0 - p) ** k, p),
+            stacklevel=3,
+        )
     # Frequencies times weights keep p = 1 and N = K exact, and the tail
     # weight is the bound (1-p)^K bit for bit.
-    return ContactCurve(radii, (hist / n) @ _powers(1.0 - p, range(k + 1)))
+    return freq @ _powers(1.0 - p, range(k + 1))
 
 
 def thinned_contact_closed_form(profile, p, radii):
@@ -218,18 +228,47 @@ def g_estimate_from_thinned(profile, p, alpha, radii):
 # Void-probability least squares
 
 def _collect_curves(data, p_values, radii):
-    """Normalize fit input to a list of (p, radii, values) triples."""
+    """Normalize fit input to a list of (p, ContactCurve) pairs; a profile's
+    curves share one count histogram."""
     if isinstance(data, DistanceProfile):
         if radii is None:
             radii = np.unique(data.nearest)
             radii = radii[radii > 0]
-        if p_values is None:
-            p_values = [1.0]
-        return [(p, radii, thinned_contact_estimate(data, p, radii).values)
-                for p in p_values]
+        radii = np.asarray(radii, dtype=float)
+        freq = _count_freq(data, radii)
+        return [(p, ContactCurve(radii, _thinned_values(freq, p)))
+                for p in ([1.0] if p_values is None else p_values)]
     if hasattr(data, "items"):
-        return [(float(p), curve.radii, curve.values) for p, curve in data.items()]
+        return [(float(p), curve) for p, curve in data.items()]
     raise ValidationError("expected a DistanceProfile or a {p: ContactCurve} map")
+
+
+def _profiled_log_ls(s, idx, ghat, coverage):
+    """profiled(alpha) -> (lambda, SSE) for log G_hat = -lambda s^alpha I(r)
+    at points (r, s) = (radii[idx] of `coverage`, retention 1 - z) with
+    G_hat > 0.  The model is linear in lambda: for x = s^alpha I and
+    y = log G_hat, lambda(alpha) = max(0, -sum(x*y)/sum(x^2))."""
+    pos = ghat > 0.0
+    y = np.log(ghat[pos])
+
+    def profiled(alpha):
+        x = (s ** alpha * coverage.values(alpha)[idx])[pos]
+        lam = max(0.0, float(-(x @ y) / max(float(x @ x), 1e-300)))
+        resid = y + lam * x
+        return lam, float(resid @ resid)
+    return profiled
+
+
+def _fit_profiled(profiled, method, alpha_bounds, max_iter):
+    """Bounded scalar search of a `_profiled_log_ls` objective over alpha."""
+    res = optimize.minimize_scalar(
+        lambda a: profiled(a)[1], bounds=alpha_bounds, method="bounded",
+        options={"xatol": 1e-10, "maxiter": max_iter},
+    )
+    alpha_hat = float(res.x)
+    lambda_hat, obj = profiled(alpha_hat)
+    return FitResult(alpha_hat, lambda_hat, obj, method,
+                     n_iterations=int(res.nfev), converged=bool(res.success))
 
 
 def fit_void(data, mu0, p_values=None, objective="direct-ls", window=None,
@@ -241,72 +280,36 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", window=None,
     The model value at (r, p) is exp(-lambda p^alpha I(r; alpha)).
 
     direct-ls runs a bounded Nelder-Mead over (alpha, lambda); log-profiled-ls
-    substitutes the closed-form lambda(alpha) = -sum(x*y)/sum(x^2) for
-    y = log G_hat, x = p^alpha I(r; alpha), and searches over alpha only
-    (radii with G_hat = 0 are dropped there).
+    searches over alpha only, with lambda profiled out of the log residuals
+    (radii with G_hat = 0 are dropped there), as `fit_pgf_curve` does.
     """
     curves = _collect_curves(data, p_values, radii)
-    n_pts = sum(len(r) for _, r, _ in curves)
-    if n_pts < 2:
+    if sum(c.radii.size for _, c in curves) < 2:
         raise DegenerateDataError("need at least 2 usable radii")
-    all_vals = np.concatenate([v for _, _, v in curves])
-    if np.all((all_vals == 0.0) | (all_vals == 1.0)):
+    ghat = np.concatenate([c.values for _, c in curves])
+    if np.all((ghat == 0.0) | (ghat == 1.0)):
         raise DegenerateDataError("all empirical G values are 0 or 1")
 
-    unique_r = np.unique(np.concatenate([r for _, r, _ in curves]))
-    index = [np.searchsorted(unique_r, r) for _, r, _ in curves]
-    p_arr = np.concatenate([np.full(len(r), p) for p, r, _ in curves])
-    idx_arr = np.concatenate(index)
-    ghat = all_vals
-
+    unique_r = np.unique(np.concatenate([c.radii for _, c in curves]))
+    idx = np.concatenate([np.searchsorted(unique_r, c.radii) for _, c in curves])
+    s = np.concatenate([np.full(c.radii.size, p) for p, c in curves])
     coverage = prepare_coverage(mu0, unique_r, window=window,
                                 alpha_min=alpha_bounds[0])
-
-    def model_values(alpha, lam):
-        cov = coverage.values(alpha)
-        return np.exp(-lam * p_arr ** alpha * cov[idx_arr])
-
-    pos = ghat > 0.0
-    if not pos.any():
-        raise DegenerateDataError("all empirical G values are 0")
-    log_ghat = np.log(ghat[pos])
-
-    def profiled_lambda(alpha):
-        cov = coverage.values(alpha)
-        x = (p_arr ** alpha * cov[idx_arr])[pos]
-        denom = float(x @ x)
-        if denom == 0.0:
-            return 0.0
-        return max(0.0, float(-(x @ log_ghat) / denom))
+    profiled = _profiled_log_ls(s, idx, ghat, coverage)
 
     if objective == "log-profiled-ls":
-        def scalar_obj(alpha):
-            cov = coverage.values(alpha)
-            x = (p_arr ** alpha * cov[idx_arr])[pos]
-            lam = max(0.0, float(-(x @ log_ghat) / max(float(x @ x), 1e-300)))
-            resid = log_ghat + lam * x
-            return float(resid @ resid)
-
-        res = optimize.minimize_scalar(
-            scalar_obj, bounds=alpha_bounds, method="bounded",
-            options={"xatol": 1e-10, "maxiter": max_iter},
-        )
-        alpha_hat = float(res.x)
-        lambda_hat = profiled_lambda(alpha_hat)
-        return FitResult(alpha_hat, lambda_hat, float(res.fun),
-                         "void-log-profiled-ls",
-                         n_iterations=int(res.nfev), converged=bool(res.success))
-
+        return _fit_profiled(profiled, "void-log-profiled-ls", alpha_bounds,
+                             max_iter)
     if objective != "direct-ls":
         raise ValidationError("unknown objective %r" % (objective,))
 
     def sse(x):
         alpha, lam = x
-        resid = ghat - model_values(alpha, lam)
+        resid = ghat - np.exp(-lam * s ** alpha * coverage.values(alpha)[idx])
         return float(resid @ resid)
 
     alpha0 = 0.5 * (alpha_bounds[0] + alpha_bounds[1])
-    lam0 = profiled_lambda(alpha0) or 1.0
+    lam0 = profiled(alpha0)[0] or 1.0
     res = optimize.minimize(
         sse, x0=[alpha0, lam0], method="Nelder-Mead",
         bounds=[(alpha_bounds[0], alpha_bounds[1]), (0.0, np.inf)],
@@ -324,33 +327,19 @@ def fit_pgf_curve(z_grid, g_values, mu0, radius, window=None,
                   alpha_bounds=(0.01, 0.999), max_iter=500):
     """Fit (alpha, lambda) to p.g.f. values via log g(z) = -lambda (1-z)^alpha I.
 
-    log g is linear in lambda, so lambda is profiled in closed form and the
-    search runs over alpha only.
+    This is the void fit's log-profiled least squares at one radius, with
+    retention s = 1 - z: lambda is profiled in closed form and the search
+    runs over alpha only.  Values g = 0 are dropped.
     """
     z = np.asarray(z_grid, dtype=float)
     g = np.asarray(g_values, dtype=float)
-    keep = g > 0.0
-    z, g = z[keep], g[keep]
-    if z.size < 2:
+    if np.count_nonzero(g > 0.0) < 2:
         raise DegenerateDataError("fewer than 2 usable z values")
-    y = np.log(g)
     coverage = prepare_coverage(mu0, [radius], window=window,
                                 alpha_min=alpha_bounds[0])
-
-    def profiled(alpha):
-        x = (1.0 - z) ** alpha * coverage.values(alpha)[0]
-        lam = max(0.0, float(-(x @ y) / max(float(x @ x), 1e-300)))
-        resid = y + lam * x
-        return lam, float(resid @ resid)
-
-    res = optimize.minimize_scalar(
-        lambda a: profiled(a)[1], bounds=alpha_bounds, method="bounded",
-        options={"xatol": 1e-10, "maxiter": max_iter},
-    )
-    alpha_hat = float(res.x)
-    lambda_hat, obj = profiled(alpha_hat)
-    return FitResult(alpha_hat, lambda_hat, obj, "count-pgf",
-                     n_iterations=int(res.nfev), converged=bool(res.success))
+    profiled = _profiled_log_ls(1.0 - z, np.zeros(z.size, dtype=int), g,
+                                coverage)
+    return _fit_profiled(profiled, "count-pgf", alpha_bounds, max_iter)
 
 
 def fit_count_pgf(pattern, radius, z_grid, mu0, window_correction=False,

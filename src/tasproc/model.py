@@ -416,19 +416,25 @@ def _axis_header(d):
 
 
 def write_pattern(pattern, stream=None):
-    """Serialize a pattern as CSV; returns the text when no stream is given."""
+    """Serialize a pattern as CSV; returns the text when no stream is given.
+    Labels are CSV-quoted where needed; line breaks (a text-mode read rewrites
+    a bare CR) and NUL (Python 3.10's csv reader refuses it) are rejected."""
+    labels = pattern.labels
+    if labels is not None and not set("\r\n\0").isdisjoint("".join(labels)):
+        raise ValidationError("cluster labels must not contain line breaks "
+                              "or NUL")
     own = stream is None
     if own:
         stream = io.StringIO()
     cols = _axis_header(pattern.dimension)
-    if pattern.labels is not None:
+    if labels is not None:
         cols = cols + ["cluster"]
-    stream.write(",".join(cols) + "\n")
-    for i, pt in enumerate(pattern.points):
-        row = [COORD_FMT % c for c in pt]
-        if pattern.labels is not None:
-            row.append(pattern.labels[i])
-        stream.write(",".join(row) + "\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(cols)
+    rows = ([COORD_FMT % c for c in pt] for pt in pattern.points.tolist())
+    if labels is not None:
+        rows = (row + [label] for row, label in zip(rows, labels))
+    writer.writerows(rows)
     if own:
         return stream.getvalue()
     return None

@@ -127,6 +127,20 @@ class TestFit:
         code = main(["fit", "--in", str(pat), "--method", "void"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("method, option, text", [
+        ("pgf", "--z", "0.1:0.9:0"),
+        ("void-thinned", "--p", "0.3:1.0:0"),
+        ("pgf", "--z", "0.9:0.1:0.1"),
+        ("pgf", "--z", "0.1:0.9:-0.1"),
+    ])
+    def test_bad_range_is_usage_error(self, tmp_path, capsys, method, option,
+                                      text):
+        pat = run_simulate(tmp_path)
+        code = main(["fit", "--in", str(pat), "--method", method,
+                     "--mu0", "uniform:1", "%s=%s" % (option, text)])
+        assert code == EXIT_USAGE
+        assert "step > 0 and hi >= lo" in capsys.readouterr().err
+
     def test_degenerate_data_numeric_exit(self, tmp_path, capsys):
         # One test point on the only pattern point: no positive radius left.
         pat = tmp_path / "single.csv"

@@ -198,6 +198,41 @@ class TestFitVoid:
         assert 0 < fit.alpha_hat < 1
         assert fit.lambda_hat >= 0
 
+    @staticmethod
+    def thinned_profile():
+        params = TasParameters(0.6, 0.4, UniformInterval(1.0))
+        pattern = simulate_tas(params, Window([-200], [200]), RandomSource(3),
+                               n_max=10 ** 6)
+        return distance_profile(pattern, grid_test_points(pattern.window, 200),
+                                depth=40)
+
+    @pytest.mark.parametrize("objective", ["direct-ls", "log-profiled-ls"])
+    def test_profile_input_equals_public_curves(self, objective):
+        # The shared count histogram gives the public estimator's curves.
+        profile = self.thinned_profile()
+        p_values = np.round(np.arange(0.3, 1.01, 0.1), 10)
+        radii = np.unique(profile.nearest)
+        radii = radii[radii > 0]
+        curves = {p: thinned_contact_estimate(profile, p, radii)
+                  for p in p_values}
+        a = fit_void(profile, self.mu0, p_values=p_values, objective=objective)
+        b = fit_void(curves, self.mu0, objective=objective)
+        assert repr(a) == repr(b)
+
+    def test_one_radius_profiled_fit_is_pgf_fit(self):
+        profile = self.thinned_profile()
+        p_values = np.round(np.arange(0.3, 1.01, 0.1), 10)
+        radius = [float(np.median(profile.nearest))]
+        curves = {p: thinned_contact_estimate(profile, p, radius)
+                  for p in p_values}
+        a = fit_void(curves, self.mu0, objective="log-profiled-ls")
+        b = fit_pgf_curve(1.0 - p_values,
+                          [curves[p].values[0] for p in p_values],
+                          self.mu0, radius[0])
+        for field in ("alpha_hat", "lambda_hat", "objective_value"):
+            assert getattr(a, field) == pytest.approx(getattr(b, field),
+                                                      rel=1e-12, abs=1e-300)
+
     def test_degenerate_data_rejected(self):
         from tasproc.model import ContactCurve
         flat = {1.0: ContactCurve([1.0, 2.0], [1.0, 1.0])}

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasproc.model import (
     ContactCurve,
@@ -143,6 +145,36 @@ class TestPatternCsv:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             read_pattern("x,y\n0,0\n", Window([-1], [1]))
+
+    def test_labels_with_csv_specials_round_trip(self):
+        w = Window([0], [10])
+        pattern = PointPattern([[1.0], [2.0]], w, labels=["a,b", 'say "hi"'])
+        text = write_pattern(pattern)
+        assert text == 'x,cluster\n1,"a,b"\n2,"say ""hi"""\n'
+        assert read_pattern(text, w).labels == pattern.labels
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\n", "a\0b"])
+    def test_label_with_line_break_or_nul_rejected(self, label):
+        pattern = PointPattern([[1.0]], Window([0], [10]), labels=[label])
+        with pytest.raises(ValidationError, match="line breaks"):
+            write_pattern(pattern)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+               st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+               max_size=8)),
+           st.data())
+    def test_write_read_write_property(self, rows, data):
+        d = len(rows[0]) if rows else 2
+        w = Window([-1.0] * d, [1.0] * d)
+        labels = data.draw(st.lists(
+            st.text(st.characters(exclude_characters="\r\n\0")),
+            min_size=len(rows), max_size=len(rows)))
+        pattern = PointPattern(np.reshape(rows, (-1, d)), w, labels=labels)
+        text = write_pattern(pattern)
+        back = read_pattern(io.StringIO(text), w)
+        assert write_pattern(back) == text
+        assert back.labels == pattern.labels
 
 
 class TestContactCurve:
