@@ -25,8 +25,6 @@ from .model import (
 from .sampling import (
     RandomSource,
     sample_poisson_centres,
-    sample_sibuya_cluster,
-    sibuya_variate,
     sibuya_variates,
     simulate_tas,
     thin,
@@ -55,7 +53,6 @@ from .estimation import (
     fit_count_pgf,
     fit_pgf_curve,
     fit_void,
-    g_estimate_from_thinned,
     grid_test_points,
     random_test_points,
     thinned_contact_closed_form,

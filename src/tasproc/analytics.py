@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtr, chndtr, gammaln, ive, roots_legendre
+from scipy.special import chndtr, gammaln, ive, roots_legendre
 
 from .model import (
     ContactCurve,
@@ -38,9 +38,6 @@ __all__ = [
     "count_pgf",
     "thinned_contact_analytic",
 ]
-
-QUAD_TOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # Sibuya distribution
@@ -130,16 +127,14 @@ class PreparedCoverage:
         return self.integrals(alpha)[0]
 
 
-def prepare_coverage(mu0, radii, window=None, alpha_min=0.01):
-    """Prepare I(r; alpha) = int mu0(B_r - x)^alpha dx, over R^d or over
-    `window`, for each radius in `radii` and any alpha in [alpha_min, 1].
+def prepare_coverage(mu0, radii, alpha_min=0.01):
+    """Prepare I(r; alpha) = int mu0(B_r - x)^alpha dx over R^d for each
+    radius in `radii` and any alpha in [alpha_min, 1].
 
     Methods by mu0: a uniform interval has a closed form; a Gaussian is
     integrated radially by Gauss-Legendre quadrature over ball masses
     tabulated once; a 1-D empirical cloud is exact by event decomposition, a
-    higher-dimensional one is Monte Carlo over in-ball counts drawn once.  On
-    a window the uniform and Gaussian integrals fall back to adaptive
-    quadrature per radius and alpha.
+    higher-dimensional one is Monte Carlo over in-ball counts drawn once.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all(radii > 0):
@@ -149,31 +144,20 @@ def prepare_coverage(mu0, radii, window=None, alpha_min=0.01):
     prepare = _PREPARERS.get(type(mu0))
     if prepare is None:
         raise ValidationError("unsupported cluster distribution %r" % (mu0,))
-    method, integrals = prepare(mu0, radii, window, alpha_min)
+    method, integrals = prepare(mu0, radii, alpha_min)
     return PreparedCoverage(method, alpha_min, integrals)
 
 
-def coverage_integral(mu0, radius, alpha, window=None):
-    """I(r; alpha) = int mu0(B_r - x)^alpha dx over R^d, or over `window`."""
-    coverage = prepare_coverage(mu0, [radius], window=window, alpha_min=alpha)
+def coverage_integral(mu0, radius, alpha):
+    """I(r; alpha) = int mu0(B_r - x)^alpha dx over R^d."""
+    coverage = prepare_coverage(mu0, [radius], alpha_min=alpha)
     values, bounds = coverage.integrals(alpha)
     return CoverageIntegral(float(values[0]), coverage.method, float(bounds[0]))
 
 
-def coverage_values(mu0, radii, alpha, window=None):
+def coverage_values(mu0, radii, alpha):
     """I(r; alpha) over a radius array."""
-    return prepare_coverage(mu0, radii, window=window,
-                            alpha_min=alpha).values(alpha)
-
-
-def _per_radius(radii, integral):
-    """alpha -> (values, bounds) from a scalar integral(radius, alpha) that
-    returns (value, bound)."""
-    def integrals(alpha):
-        out = np.array([integral(r, alpha) for r in radii],
-                       dtype=float).reshape(-1, 2)
-        return out[:, 0], out[:, 1]
-    return integrals
+    return prepare_coverage(mu0, radii, alpha_min=alpha).values(alpha)
 
 
 def _gauss_legendre(n, lo, hi):
@@ -200,31 +184,10 @@ def _uniform_coverage(h, r, alpha):
     return plateau + ramps
 
 
-def _uniform_coverage_window(h, radius, alpha, window):
-    from scipy import integrate
-
-    lo = max(window.lower[0], -(h + radius))
-    hi = min(window.upper[0], h + radius)
-    if hi <= lo:
-        return 0.0, 0.0
-
-    def integrand(x):
-        overlap = max(0.0, min(h, x + radius) - max(-h, x - radius))
-        return (overlap / (2.0 * h)) ** alpha
-
-    pts = [p for p in (-h - radius, -abs(h - radius), abs(h - radius), h + radius)
-           if lo < p < hi]
-    return integrate.quad(integrand, lo, hi, epsabs=QUAD_TOL, limit=200,
-                          points=pts or None)
-
-
-def _prepare_uniform(mu0, radii, window, alpha_min):
+def _prepare_uniform(mu0, radii, alpha_min):
     h = mu0.halfwidth
-    if window is None:
-        return "closed-form", lambda alpha: (_uniform_coverage(h, radii, alpha),
-                                             np.zeros(radii.size))
-    return "quadrature", _per_radius(
-        radii, lambda r, alpha: _uniform_coverage_window(h, r, alpha, window))
+    return "closed-form", lambda alpha: (_uniform_coverage(h, radii, alpha),
+                                         np.zeros(radii.size))
 
 
 # Isotropic Gaussian
@@ -234,14 +197,6 @@ def _prepare_uniform(mu0, radii, window, alpha_min):
 _RADIAL_NODES = 8
 # Panels in y of the Bessel-form mass, as fractions of the y range.
 _BESSEL_PANELS = np.array([0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
-
-
-def _gaussian_ball_mass(s, r, sigma, d):
-    """mu0(B_r(x)) for |x| = s under an isotropic N(0, sigma^2 I_d)."""
-    s = np.asarray(s, dtype=float)
-    q = (r / sigma) ** 2
-    nc = (s / sigma) ** 2
-    return np.where(nc == 0.0, chdtr(d, q), chndtr(q, d, nc))
 
 
 def _gaussian_log_mass(u, rho, d):
@@ -283,7 +238,7 @@ def _sphere_surface(d):
     return 2.0 * np.pi ** (d / 2.0) / np.exp(gammaln(d / 2.0))
 
 
-def _prepare_gaussian(mu0, radii, window, alpha_min):
+def _prepare_gaussian(mu0, radii, alpha_min):
     """I = surf sigma^d int_0^inf M(u)^alpha u^(d-1) du in units of sigma,
     with M(u) the mass of the ball of radius rho = r / sigma at distance u.
 
@@ -292,10 +247,6 @@ def _prepare_gaussian(mu0, radii, window, alpha_min):
     below e^-40.  log M is tabulated once on the nodes of both rules, so an
     alpha costs two exponentials per node.
     """
-    if window is not None:
-        return "quadrature", _per_radius(
-            radii, lambda r, alpha: _gaussian_coverage_window(mu0, r, alpha,
-                                                              window))
     d, sigma = mu0.dim, mu0.sigma
     rho = (radii / sigma)[:, None]
     k = np.arange(4.0)
@@ -320,49 +271,16 @@ def _prepare_gaussian(mu0, radii, window, alpha_min):
     return "quadrature", integrals
 
 
-def _gaussian_coverage_window(mu0, radius, alpha, window):
-    from scipy import integrate
-
-    d, sigma = mu0.dim, mu0.sigma
-    reach = radius + 12.0 * sigma
-    if d == 1:
-        lo = max(window.lower[0], -reach)
-        hi = min(window.upper[0], reach)
-        if hi <= lo:
-            return 0.0, 0.0
-
-        def integrand(x):
-            return _gaussian_ball_mass(abs(x), radius, sigma, d) ** alpha
-
-        return integrate.quad(integrand, lo, hi, epsabs=QUAD_TOL, limit=300)
-    if d == 2:
-        xlo = max(window.lower[0], -reach)
-        xhi = min(window.upper[0], reach)
-        ylo = max(window.lower[1], -reach)
-        yhi = min(window.upper[1], reach)
-        if xhi <= xlo or yhi <= ylo:
-            return 0.0, 0.0
-
-        def integrand(y, x):
-            return _gaussian_ball_mass(np.hypot(x, y), radius, sigma, d) ** alpha
-
-        return integrate.dblquad(integrand, xlo, xhi, ylo, yhi, epsabs=1e-8)
-    raise ValidationError("window-domain Gaussian coverage supports d <= 2")
-
-
 # Empirical cloud
 
 _MC_SAMPLES = 200_000
 
 
-def _empirical_pieces_1d(mu0, radius, window):
+def _empirical_pieces_1d(mu0, radius):
     """Lengths and masses of the pieces on which mu0(B_r - x) is constant."""
     y = mu0.points[:, 0]
     n = y.size
     events = np.concatenate([-y - radius, -y + radius])
-    if window is not None:
-        events = np.clip(events, window.lower[0], window.upper[0])
-        events = np.concatenate([events, [window.lower[0], window.upper[0]]])
     events = np.unique(events)
     mids = 0.5 * (events[:-1] + events[1:])
     # mass at x: fraction of cloud points with |y + x| <= r
@@ -370,7 +288,7 @@ def _empirical_pieces_1d(mu0, radius, window):
     return np.diff(events), mass
 
 
-def _empirical_counts_mc(mu0, radius, window):
+def _empirical_counts_mc(mu0, radius):
     """Volume of the sampled box and the histogram, over uniform samples x,
     of the number of cloud points y with ||y + x|| <= r."""
     d = mu0.dimension
@@ -378,11 +296,6 @@ def _empirical_counts_mc(mu0, radius, window):
     reach = radius + mu0.effective_radius
     lo = np.full(d, -reach)
     hi = np.full(d, reach)
-    if window is not None:
-        lo = np.maximum(lo, window.lower)
-        hi = np.minimum(hi, window.upper)
-        if np.any(hi <= lo):
-            return 0.0, np.zeros(pts.shape[0] + 1)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
     x = gen.uniform(lo, hi, size=(_MC_SAMPLES, d))
     counts = np.empty(_MC_SAMPLES, dtype=np.int64)
@@ -395,9 +308,9 @@ def _empirical_counts_mc(mu0, radius, window):
                                                 minlength=pts.shape[0] + 1)
 
 
-def _prepare_empirical(mu0, radii, window, alpha_min):
+def _prepare_empirical(mu0, radii, alpha_min):
     if mu0.dimension == 1:
-        pieces = [_empirical_pieces_1d(mu0, r, window) for r in radii]
+        pieces = [_empirical_pieces_1d(mu0, r) for r in radii]
 
         def exact(alpha):
             values = [np.sum(lengths * mass ** alpha) for lengths, mass in pieces]
@@ -406,7 +319,7 @@ def _prepare_empirical(mu0, radii, window, alpha_min):
 
     n = mu0.points.shape[0]
     vols, hists = (np.array(a) for a in zip(
-        *(_empirical_counts_mc(mu0, r, window) for r in radii)))
+        *(_empirical_counts_mc(mu0, r) for r in radii)))
 
     def monte_carlo(alpha):
         # Plain Monte Carlo mean of mass^alpha, with three standard errors.
@@ -427,26 +340,26 @@ _PREPARERS = {
 # ---------------------------------------------------------------------------
 # Contact curves and count p.g.f.
 
-def analytic_contact(params, radii, window=None):
+def analytic_contact(params, radii):
     """G(r) = exp(-lambda * I(r; alpha)) on an ascending radius grid: the
     p = 1 slice of `thinned_contact_analytic`."""
-    return thinned_contact_analytic(params, 1.0, radii, window=window)
+    return thinned_contact_analytic(params, 1.0, radii)
 
 
-def count_pgf(params, radius, z, window=None):
+def count_pgf(params, radius, z):
     """E z^{Phi(B_r)} = exp(-lambda (1-z)^alpha I(r; alpha))."""
     z = np.asarray(z, dtype=float)
     if np.any((z < 0) | (z > 1)):
         raise ValidationError("z must lie in [0, 1]")
-    cov = coverage_integral(params.mu0, radius, params.alpha, window=window).value
+    cov = coverage_integral(params.mu0, radius, params.alpha).value
     out = np.exp(-params.lam * (1.0 - z) ** params.alpha * cov)
     return float(out) if out.ndim == 0 else out
 
 
-def thinned_contact_analytic(params, p, radii, window=None):
+def thinned_contact_analytic(params, p, radii):
     """Contact curve of the p-thinned process: lambda becomes lambda * p^alpha."""
     if not 0.0 < p <= 1.0:
         raise ValidationError("retention probability must lie in (0, 1]")
     radii = np.asarray(radii, dtype=float)
-    cov = coverage_values(params.mu0, radii, params.alpha, window=window)
+    cov = coverage_values(params.mu0, radii, params.alpha)
     return ContactCurve(radii, np.exp(-params.lam * p ** params.alpha * cov))

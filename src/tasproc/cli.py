@@ -22,7 +22,6 @@ from .model import (
     UniformInterval,
     ValidationError,
     Window,
-    mu0_from_json,
     read_pattern,
     read_window_json,
     write_pattern,

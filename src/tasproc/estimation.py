@@ -37,7 +37,6 @@ __all__ = [
     "thinned_contact_estimate",
     "thinned_contact_closed_form",
     "ball_count_pgf",
-    "g_estimate_from_thinned",
     "fit_void",
     "fit_count_pgf",
     "fit_pgf_curve",
@@ -214,16 +213,6 @@ def ball_count_pgf(counts, z):
                     ) / freq.sum()
 
 
-def g_estimate_from_thinned(profile, p, alpha, radii):
-    """Estimate of the *unthinned* contact tail from the thinned curve.
-
-    The thinned process has cluster density lambda p^alpha, so
-    G(r) = G_p(r)^(p^-alpha) when alpha is known.
-    """
-    curve = thinned_contact_estimate(profile, p, radii)
-    return ContactCurve(curve.radii, curve.values ** (p ** -alpha))
-
-
 # ---------------------------------------------------------------------------
 # Void-probability least squares
 
@@ -248,6 +237,9 @@ def _profiled_log_ls(s, idx, ghat, coverage):
     at points (r, s) = (radii[idx] of `coverage`, retention 1 - z) with
     G_hat > 0.  The model is linear in lambda: for x = s^alpha I and
     y = log G_hat, lambda(alpha) = max(0, -sum(x*y)/sum(x^2))."""
+    if not np.all((s > 0.0) & (s <= 1.0)):
+        raise ValidationError("retention probability must lie in (0, 1], "
+                              "i.e. z in [0, 1)")
     pos = ghat > 0.0
     y = np.log(ghat[pos])
 
@@ -271,8 +263,8 @@ def _fit_profiled(profiled, method, alpha_bounds, max_iter):
                      n_iterations=int(res.nfev), converged=bool(res.success))
 
 
-def fit_void(data, mu0, p_values=None, objective="direct-ls", window=None,
-             radii=None, alpha_bounds=(0.01, 0.999), max_iter=500, tol=1e-8):
+def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None,
+             alpha_bounds=(0.01, 0.999), max_iter=500, tol=1e-8):
     """Least-squares fit of (alpha, lambda) to void-probability curves.
 
     `data` is either a DistanceProfile (curves are built internally, one per
@@ -293,8 +285,7 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", window=None,
     unique_r = np.unique(np.concatenate([c.radii for _, c in curves]))
     idx = np.concatenate([np.searchsorted(unique_r, c.radii) for _, c in curves])
     s = np.concatenate([np.full(c.radii.size, p) for p, c in curves])
-    coverage = prepare_coverage(mu0, unique_r, window=window,
-                                alpha_min=alpha_bounds[0])
+    coverage = prepare_coverage(mu0, unique_r, alpha_min=alpha_bounds[0])
     profiled = _profiled_log_ls(s, idx, ghat, coverage)
 
     if objective == "log-profiled-ls":
@@ -323,8 +314,8 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", window=None,
 # ---------------------------------------------------------------------------
 # Count p.g.f. fitting
 
-def fit_pgf_curve(z_grid, g_values, mu0, radius, window=None,
-                  alpha_bounds=(0.01, 0.999), max_iter=500):
+def fit_pgf_curve(z_grid, g_values, mu0, radius, alpha_bounds=(0.01, 0.999),
+                  max_iter=500):
     """Fit (alpha, lambda) to p.g.f. values via log g(z) = -lambda (1-z)^alpha I.
 
     This is the void fit's log-profiled least squares at one radius, with
@@ -335,21 +326,18 @@ def fit_pgf_curve(z_grid, g_values, mu0, radius, window=None,
     g = np.asarray(g_values, dtype=float)
     if np.count_nonzero(g > 0.0) < 2:
         raise DegenerateDataError("fewer than 2 usable z values")
-    coverage = prepare_coverage(mu0, [radius], window=window,
-                                alpha_min=alpha_bounds[0])
+    coverage = prepare_coverage(mu0, [radius], alpha_min=alpha_bounds[0])
     profiled = _profiled_log_ls(1.0 - z, np.zeros(z.size, dtype=int), g,
                                 coverage)
     return _fit_profiled(profiled, "count-pgf", alpha_bounds, max_iter)
 
 
-def fit_count_pgf(pattern, radius, z_grid, mu0, window_correction=False,
-                  n_test_points=400, alpha_bounds=(0.01, 0.999), max_iter=500):
+def fit_count_pgf(pattern, radius, z_grid, mu0, n_test_points=400,
+                  alpha_bounds=(0.01, 0.999), max_iter=500):
     """Fit (alpha, lambda) from counts in balls around grid test points.
 
     Test points live on a grid inside the window eroded by the ball radius;
     the empirical p.g.f. g_hat(z) = mean_j z^{N_j} is fitted on `z_grid`.
-    With `window_correction` the coverage integral runs over the window
-    instead of the whole space.
     """
     z = np.asarray(z_grid, dtype=float)
     if np.any((z <= 0) | (z >= 1)):
@@ -358,9 +346,8 @@ def fit_count_pgf(pattern, radius, z_grid, mu0, window_correction=False,
     tree = cKDTree(pattern.points)
     counts = tree.query_ball_point(test_points, r=radius, return_length=True)
     ghat = ball_count_pgf(counts, z)
-    window = pattern.window if window_correction else None
-    result = fit_pgf_curve(z, ghat, mu0, radius, window=window,
-                           alpha_bounds=alpha_bounds, max_iter=max_iter)
+    result = fit_pgf_curve(z, ghat, mu0, radius, alpha_bounds=alpha_bounds,
+                           max_iter=max_iter)
     result.extras["n_test_points"] = int(test_points.shape[0])
     result.extras["mean_count"] = float(np.mean(counts))
     return result

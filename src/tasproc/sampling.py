@@ -1,5 +1,5 @@
-"""Seeded random generation: Sibuya variates, Sibuya clusters, Poisson
-centres, full cluster-process patterns, and independent thinning.
+"""Seeded random generation: Sibuya variates, Poisson centres, full
+cluster-process patterns, and independent thinning.
 
 The Sibuya variable with parameter alpha is the index of the first success
 in a sequence of Bernoulli trials where trial k succeeds with probability
@@ -11,7 +11,6 @@ is hopeless for small alpha, where draws beyond 10^6 are routine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,9 +20,7 @@ from .model import PointPattern, ValidationError
 
 __all__ = [
     "RandomSource",
-    "sibuya_variate",
     "sibuya_variates",
-    "sample_sibuya_cluster",
     "sample_poisson_centres",
     "simulate_tas",
     "thin",
@@ -44,10 +41,6 @@ class RandomSource:
         ss = np.random.SeedSequence((self.seed & _MASK64, self.stream & _MASK64))
         self.generator = np.random.Generator(np.random.PCG64(ss))
         self.truncation_count = 0
-
-    def spawn(self, stream):
-        """Independent source with the same seed and a different stream id."""
-        return RandomSource(self.seed, stream)
 
     def __repr__(self):
         return "RandomSource(seed=%d, stream=%d)" % (self.seed, self.stream)
@@ -119,23 +112,6 @@ def sibuya_variates(alpha, size, rng, n_max=None):
     if np.all(nu < 2 ** 62):
         return nu.astype(np.int64)
     return nu
-
-
-def sibuya_variate(alpha, rng, n_max=None):
-    """Single Sibuya(alpha) draw as a Python int."""
-    return int(sibuya_variates(alpha, 1, rng, n_max=n_max)[0])
-
-
-def sample_sibuya_cluster(alpha, mu0, center, rng, n_max=None):
-    """One Sibuya cluster: Sib(alpha)-many i.i.d. mu0 offsets around center."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape[0] != mu0.dimension:
-        raise ValidationError(
-            "center is %d-dimensional but mu0 is %d-dimensional"
-            % (center.shape[0], mu0.dimension)
-        )
-    nu = sibuya_variate(alpha, rng, n_max=n_max)
-    return center + mu0.sample(nu, rng.generator)
 
 
 def sample_poisson_centres(lam, region, rng):

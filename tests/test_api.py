@@ -1,0 +1,16 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import tasproc
+
+MODULES = [importlib.import_module("tasproc." + m.name)
+           for m in pkgutil.iter_modules(tasproc.__path__)]
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if hasattr(m, "__all__")],
+    ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

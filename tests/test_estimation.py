@@ -239,6 +239,15 @@ class TestFitVoid:
         with pytest.raises(DegenerateDataError):
             fit_void(flat, self.mu0)
 
+    @pytest.mark.parametrize("objective", ["direct-ls", "log-profiled-ls"])
+    @pytest.mark.parametrize("p", [1.5, 0.0, -0.2, np.nan])
+    def test_retention_outside_unit_interval_rejected(self, objective, p):
+        from tasproc.model import ContactCurve
+        curves = {0.5: ContactCurve([1.0, 2.0], [0.95, 0.9]),
+                  p: ContactCurve([1.0, 2.0], [0.9, 0.8])}
+        with pytest.raises(ValidationError):
+            fit_void(curves, self.mu0, objective=objective)
+
 
 class TestBallCountPgf:
     def test_matches_direct_mean(self):
@@ -265,6 +274,11 @@ class TestFitCountPgf:
         fit = fit_pgf_curve(z, g, self.mu0, 1.0)
         assert fit.alpha_hat == pytest.approx(0.7, abs=1e-6)
         assert fit.lambda_hat == pytest.approx(0.1, abs=1e-6)
+
+    @pytest.mark.parametrize("z", [1.5, 1.0, -0.1, np.nan])
+    def test_pgf_curve_z_outside_unit_interval_rejected(self, z):
+        with pytest.raises(ValidationError):
+            fit_pgf_curve([0.2, 0.5, z], [0.9, 0.8, 0.7], self.mu0, 1.0)
 
     def test_poisson_pattern_hits_alpha_boundary(self):
         params = TasParameters(1.0, 0.2, self.mu0)

@@ -11,10 +11,8 @@ from tasproc import (
     ValidationError,
     Window,
     sample_poisson_centres,
-    sample_sibuya_cluster,
     sibuya_pmf,
     sibuya_survival,
-    sibuya_variate,
     sibuya_variates,
     simulate_tas,
     thin,
@@ -72,9 +70,9 @@ class TestSibuyaSampler:
     def test_domain_error(self):
         rng = RandomSource(0)
         with pytest.raises(ValidationError):
-            sibuya_variate(1.5, rng)
+            sibuya_variates(1.5, 1, rng)
         with pytest.raises(ValidationError):
-            sibuya_variate(0.0, rng)
+            sibuya_variates(0.0, 1, rng)
 
     def test_truncation_counted_never_silent(self):
         rng = RandomSource(5)
@@ -95,22 +93,38 @@ class TestSibuyaSampler:
 
 
 class TestSibuyaCluster:
+    @staticmethod
+    def with_parents(params, window, seed):
+        """A labelled simulated pattern and each point's parent centre.
+
+        simulate_tas draws the centres first, on the window dilated by the
+        default buffer, so the same seed draws them again."""
+        pattern = simulate_tas(params, window, RandomSource(seed),
+                               keep_labels=True, n_max=10 ** 6)
+        centres = sample_poisson_centres(
+            params.lam, window.dilate(params.mu0.effective_radius),
+            RandomSource(seed))
+        labels = np.array(pattern.labels, dtype=np.int64)
+        return pattern, labels, centres[labels]
+
     def test_alpha_one_single_point_in_interval(self):
+        params = TasParameters(1.0, 0.5, UniformInterval(1.0))
         for i in range(50):
-            pts = sample_sibuya_cluster(1.0, UniformInterval(1.0), [5.0],
-                                        RandomSource(i))
-            assert pts.shape == (1, 1)
-            assert 4.0 <= pts[0, 0] <= 6.0
+            pattern, labels, parents = self.with_parents(
+                params, Window([0.0], [20.0]), i)
+            assert np.unique(labels).size == labels.size
+            assert np.all(np.abs(pattern.points - parents) <= 1.0)
 
     def test_gaussian_cluster_mean_is_center(self):
-        rng = RandomSource(8)
-        mu0 = IsotropicGaussian(2, 0.5)
-        points = np.vstack([
-            sample_sibuya_cluster(0.7, mu0, [0.0, 0.0], rng, n_max=10 ** 6)
-            for _ in range(10 ** 4)
-        ])
-        se = 0.5 / np.sqrt(points.shape[0])
-        assert np.all(np.abs(points.mean(axis=0)) < 4 * se)
+        params = TasParameters(0.7, 0.5, IsotropicGaussian(2, 0.5))
+        pattern, _, parents = self.with_parents(
+            params, Window([-50.0, -50.0], [50.0, 50.0]), 8)
+        # Clusters centred 12 sigma inside the window lose no point to it.
+        interior = np.all(np.abs(parents) < 44.0, axis=1)
+        offsets = pattern.points[interior] - parents[interior]
+        assert offsets.shape[0] > 10 ** 4
+        se = 0.5 / np.sqrt(offsets.shape[0])
+        assert np.all(np.abs(offsets.mean(axis=0)) < 4 * se)
 
     def test_cluster_size_histogram_chisquare(self):
         rng = RandomSource(9)
@@ -118,9 +132,9 @@ class TestSibuyaCluster:
         assert pooled_chisquare(sizes, 0.6) > 0.01
 
     def test_dimension_mismatch(self):
+        params = TasParameters(0.5, 0.1, IsotropicGaussian(2, 1.0))
         with pytest.raises(ValidationError):
-            sample_sibuya_cluster(0.5, IsotropicGaussian(2, 1.0), [0.0],
-                                  RandomSource(0))
+            simulate_tas(params, Window([0.0], [10.0]), RandomSource(0))
 
 
 class TestPoissonCentres:
