@@ -16,9 +16,6 @@ from .model import (
     UniformInterval,
     ValidationError,
     Window,
-    mu0_from_json,
-    params_from_json,
-    params_to_json,
     read_pattern,
     write_pattern,
 )

@@ -67,11 +67,14 @@ def parse_range(text):
 
 def parse_test_points(text, window, rng):
     kind, _, n = text.partition(":")
+    if kind not in ("grid", "random"):
+        raise ValidationError("unknown test-point spec %r" % (text,))
+    n = int(n)
+    if n < 1:
+        raise ValidationError("test-point spec %r needs N >= 1" % (text,))
     if kind == "grid":
-        return estimation.grid_test_points(window, int(n))
-    if kind == "random":
-        return estimation.random_test_points(window, int(n), rng)
-    raise ValidationError("unknown test-point spec %r" % (text,))
+        return estimation.grid_test_points(window, n)
+    return estimation.random_test_points(window, n, rng)
 
 
 def _load_pattern(args):

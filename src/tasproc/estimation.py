@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+# Every fit searches alpha in this box; the coverage operator is prepared down
+# to its lower end.
+_ALPHA_BOUNDS = (0.01, 0.999)
+_MAX_ITER = 500
+_FATOL = 1e-8
+_N_TEST_POINTS = 400
+
+
 class DegenerateDataError(ValueError):
     """Raised when the data carry no usable signal for a fit."""
 
@@ -251,11 +259,11 @@ def _profiled_log_ls(s, idx, ghat, coverage):
     return profiled
 
 
-def _fit_profiled(profiled, method, alpha_bounds, max_iter):
+def _fit_profiled(profiled, method):
     """Bounded scalar search of a `_profiled_log_ls` objective over alpha."""
     res = optimize.minimize_scalar(
-        lambda a: profiled(a)[1], bounds=alpha_bounds, method="bounded",
-        options={"xatol": 1e-10, "maxiter": max_iter},
+        lambda a: profiled(a)[1], bounds=_ALPHA_BOUNDS, method="bounded",
+        options={"xatol": 1e-10, "maxiter": _MAX_ITER},
     )
     alpha_hat = float(res.x)
     lambda_hat, obj = profiled(alpha_hat)
@@ -263,8 +271,7 @@ def _fit_profiled(profiled, method, alpha_bounds, max_iter):
                      n_iterations=int(res.nfev), converged=bool(res.success))
 
 
-def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None,
-             alpha_bounds=(0.01, 0.999), max_iter=500, tol=1e-8):
+def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None):
     """Least-squares fit of (alpha, lambda) to void-probability curves.
 
     `data` is either a DistanceProfile (curves are built internally, one per
@@ -285,12 +292,11 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None,
     unique_r = np.unique(np.concatenate([c.radii for _, c in curves]))
     idx = np.concatenate([np.searchsorted(unique_r, c.radii) for _, c in curves])
     s = np.concatenate([np.full(c.radii.size, p) for p, c in curves])
-    coverage = prepare_coverage(mu0, unique_r, alpha_min=alpha_bounds[0])
+    coverage = prepare_coverage(mu0, unique_r, alpha_min=_ALPHA_BOUNDS[0])
     profiled = _profiled_log_ls(s, idx, ghat, coverage)
 
     if objective == "log-profiled-ls":
-        return _fit_profiled(profiled, "void-log-profiled-ls", alpha_bounds,
-                             max_iter)
+        return _fit_profiled(profiled, "void-log-profiled-ls")
     if objective != "direct-ls":
         raise ValidationError("unknown objective %r" % (objective,))
 
@@ -299,12 +305,12 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None,
         resid = ghat - np.exp(-lam * s ** alpha * coverage.values(alpha)[idx])
         return float(resid @ resid)
 
-    alpha0 = 0.5 * (alpha_bounds[0] + alpha_bounds[1])
+    alpha0 = 0.5 * (_ALPHA_BOUNDS[0] + _ALPHA_BOUNDS[1])
     lam0 = profiled(alpha0)[0] or 1.0
     res = optimize.minimize(
         sse, x0=[alpha0, lam0], method="Nelder-Mead",
-        bounds=[(alpha_bounds[0], alpha_bounds[1]), (0.0, np.inf)],
-        options={"maxiter": max_iter, "fatol": tol, "xatol": 1e-8},
+        bounds=[_ALPHA_BOUNDS, (0.0, np.inf)],
+        options={"maxiter": _MAX_ITER, "fatol": _FATOL, "xatol": 1e-8},
     )
     return FitResult(float(res.x[0]), float(res.x[1]), float(res.fun),
                      "void-direct-ls",
@@ -314,8 +320,7 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None,
 # ---------------------------------------------------------------------------
 # Count p.g.f. fitting
 
-def fit_pgf_curve(z_grid, g_values, mu0, radius, alpha_bounds=(0.01, 0.999),
-                  max_iter=500):
+def fit_pgf_curve(z_grid, g_values, mu0, radius):
     """Fit (alpha, lambda) to p.g.f. values via log g(z) = -lambda (1-z)^alpha I.
 
     This is the void fit's log-profiled least squares at one radius, with
@@ -326,28 +331,27 @@ def fit_pgf_curve(z_grid, g_values, mu0, radius, alpha_bounds=(0.01, 0.999),
     g = np.asarray(g_values, dtype=float)
     if np.count_nonzero(g > 0.0) < 2:
         raise DegenerateDataError("fewer than 2 usable z values")
-    coverage = prepare_coverage(mu0, [radius], alpha_min=alpha_bounds[0])
+    coverage = prepare_coverage(mu0, [radius], alpha_min=_ALPHA_BOUNDS[0])
     profiled = _profiled_log_ls(1.0 - z, np.zeros(z.size, dtype=int), g,
                                 coverage)
-    return _fit_profiled(profiled, "count-pgf", alpha_bounds, max_iter)
+    return _fit_profiled(profiled, "count-pgf")
 
 
-def fit_count_pgf(pattern, radius, z_grid, mu0, n_test_points=400,
-                  alpha_bounds=(0.01, 0.999), max_iter=500):
+def fit_count_pgf(pattern, radius, z_grid, mu0):
     """Fit (alpha, lambda) from counts in balls around grid test points.
 
-    Test points live on a grid inside the window eroded by the ball radius;
-    the empirical p.g.f. g_hat(z) = mean_j z^{N_j} is fitted on `z_grid`.
+    About 400 test points live on a grid inside the window eroded by the ball
+    radius; the empirical p.g.f. g_hat(z) = mean_j z^{N_j} is fitted on
+    `z_grid`.
     """
     z = np.asarray(z_grid, dtype=float)
     if np.any((z <= 0) | (z >= 1)):
         raise ValidationError("z grid must lie strictly inside (0, 1)")
-    test_points = pattern.window.erode(radius).grid_points(n_test_points)
+    test_points = pattern.window.erode(radius).grid_points(_N_TEST_POINTS)
     tree = cKDTree(pattern.points)
     counts = tree.query_ball_point(test_points, r=radius, return_length=True)
     ghat = ball_count_pgf(counts, z)
-    result = fit_pgf_curve(z, ghat, mu0, radius, alpha_bounds=alpha_bounds,
-                           max_iter=max_iter)
+    result = fit_pgf_curve(z, ghat, mu0, radius)
     result.extras["n_test_points"] = int(test_points.shape[0])
     result.extras["mean_count"] = float(np.mean(counts))
     return result
@@ -358,23 +362,22 @@ def fit_count_pgf(pattern, radius, z_grid, mu0, n_test_points=400,
 
 ClusterSizeAlpha = namedtuple("ClusterSizeAlpha", ["alpha", "raw"])
 
-DEFAULT_T_GRID = np.arange(0.1, 0.91, 0.1)
+_T_GRID = np.arange(0.1, 0.91, 0.1)
 
 
-def estimate_alpha_from_cluster_sizes(sizes, t_grid=None):
+def estimate_alpha_from_cluster_sizes(sizes):
     """Estimate alpha from observed cluster sizes via the empirical p.g.f.
 
-    Regresses log(1 - g_K(t_j)) on l_j = log(1 - t_j); all-singleton input
-    yields exactly 1.  Returns (clamped value in (0, 1], raw regression value).
+    Regresses log(1 - g_K(t_j)) on l_j = log(1 - t_j) over t = 0.1, ..., 0.9;
+    all-singleton input yields exactly 1.  Returns (clamped value in (0, 1],
+    raw regression value).
     """
     sizes = np.asarray(sizes)
     if sizes.size == 0:
         raise ValidationError("sizes must be non-empty")
     if np.any(sizes < 1):
         raise ValidationError("cluster sizes must be >= 1")
-    t = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, dtype=float)
-    if t.size < 2 or np.any((t < 0) | (t >= 1)) or np.any(np.diff(t) <= 0):
-        raise ValidationError("t grid must be ascending in [0, 1)")
+    t = _T_GRID
 
     # Empirical p.g.f. through distinct sizes: exact and fast for large K.
     values, counts = np.unique(sizes, return_counts=True)
@@ -399,11 +402,10 @@ def estimate_alpha_from_cluster_sizes(sizes, t_grid=None):
 # ---------------------------------------------------------------------------
 # Empirical mu0 from labelled clusters
 
-def estimate_mu0_empirical(pattern, selection="labeled", k=None):
+def estimate_mu0_empirical(pattern):
     """Pool recentred labelled clusters into an EmpiricalCloud estimate of mu0.
 
-    Each selected cluster is shifted by its centre of mass (coordinate-wise
-    mean); `selection="largest-k"` keeps only the k largest clusters.
+    Each cluster is shifted by its centre of mass (coordinate-wise mean).
     Clusters with fewer than 2 points are skipped.
     """
     if pattern.labels is None:
@@ -415,12 +417,5 @@ def estimate_mu0_empirical(pattern, selection="labeled", k=None):
     usable = {lab: pts for lab, pts in groups.items() if pts.shape[0] >= 2}
     if not usable:
         raise DegenerateDataError("no cluster with at least 2 points")
-    if selection == "largest-k":
-        if k is None or k < 1:
-            raise ValidationError("largest-k selection needs k >= 1")
-        order = sorted(usable, key=lambda lab: usable[lab].shape[0], reverse=True)
-        usable = {lab: usable[lab] for lab in order[:k]}
-    elif selection != "labeled":
-        raise ValidationError("unknown selection %r" % (selection,))
     recentred = [pts - pts.mean(axis=0) for pts in usable.values()]
     return EmpiricalCloud(np.vstack(recentred))

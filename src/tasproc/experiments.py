@@ -35,6 +35,9 @@ TABLE1_CELLS = [(0.6, 0.02), (0.6, 0.4), (0.8, 0.02), (0.8, 0.4)]
 TABLE1_WINDOW = Window([-500.0], [500.0])
 DEFAULT_P_VALUES = np.round(np.arange(0.3, 1.01, 0.1), 10)
 HARNESS_N_MAX = 10_000_000
+_TABLE1_ESTIMATOR = "void-thinned"
+_TABLE1_N_TEST = 400
+_TABLE1_DEPTH = 60
 
 
 @dataclass
@@ -72,17 +75,13 @@ class ReplicationReport:
 
 def _void_replicate(args):
     """One simulate-and-fit replicate; top-level so it can cross processes."""
-    (alpha, lam, seed, stream, estimator, p_values, n_test, depth,
-     objective) = args
+    alpha, lam, seed, stream = args
     params = TasParameters(alpha, lam, UniformInterval(1.0))
     rng = RandomSource(seed, stream)
     pattern = simulate_tas(params, TABLE1_WINDOW, rng, n_max=HARNESS_N_MAX)
-    test_points = grid_test_points(TABLE1_WINDOW, n_test)
-    profile = distance_profile(pattern, test_points, depth=depth)
-    if estimator == "void":
-        p_values = [1.0]
-    fit = fit_void(profile, params.mu0, p_values=list(p_values),
-                   objective=objective)
+    test_points = grid_test_points(TABLE1_WINDOW, _TABLE1_N_TEST)
+    profile = distance_profile(pattern, test_points, depth=_TABLE1_DEPTH)
+    fit = fit_void(profile, params.mu0, p_values=list(DEFAULT_P_VALUES))
     return {
         "stream": stream,
         "alpha_hat": fit.alpha_hat,
@@ -112,25 +111,23 @@ def _standard_error(values):
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
-def replicate_table1(replicates=50, seed=0, estimator="void-thinned",
-                     p_values=DEFAULT_P_VALUES, n_test=400, depth=60,
-                     objective="direct-ls", jobs=1, out_dir=None,
+def replicate_table1(replicates=50, seed=0, jobs=1, out_dir=None,
                      cells=TABLE1_CELLS):
     """Mean (alpha_hat, lambda_hat) over replicates for each (alpha, lambda)
-    cell of the 1-D uniform-cluster model on W = [-500, 500]."""
+    cell of the 1-D uniform-cluster model on W = [-500, 500], each fitted by
+    direct least squares to thinned void curves on DEFAULT_P_VALUES."""
     _check_replicates(replicates)
     rows = []
     for scenario_index, (alpha, lam) in enumerate(cells):
         scenario = "a%g_l%g" % (alpha, lam)
-        args = [(alpha, lam, seed + scenario_index, rep, estimator,
-                 tuple(p_values), n_test, depth, objective)
+        args = [(alpha, lam, seed + scenario_index, rep)
                 for rep in range(replicates)]
         fits = _run_map(_void_replicate, args, jobs)
         a = np.array([f["alpha_hat"] for f in fits])
         l = np.array([f["lambda_hat"] for f in fits])
         row = {
             "scenario": scenario,
-            "estimator": estimator,
+            "estimator": _TABLE1_ESTIMATOR,
             "alpha_true": alpha,
             "lambda_true": lam,
             "alpha_mean": float(a.mean()),
@@ -151,8 +148,8 @@ def replicate_table1(replicates=50, seed=0, estimator="void-thinned",
                     json.dump(f, fh, indent=2)
                     fh.write("\n")
     report = ReplicationReport(rows, {
-        "seed": seed, "replicates": replicates, "estimator": estimator,
-        "p_values": list(np.asarray(p_values, dtype=float)),
+        "seed": seed, "replicates": replicates, "estimator": _TABLE1_ESTIMATOR,
+        "p_values": list(DEFAULT_P_VALUES),
         "window": TABLE1_WINDOW.to_json_dict(),
     })
     if out_dir is not None:
@@ -164,6 +161,8 @@ FIG3_PARAMS = TasParameters(0.7, 0.1, IsotropicGaussian(2, 1.0))
 FIG3_WINDOW = Window([-25.0, -25.0], [25.0, 25.0])
 FIG3_P_GRID = np.round(np.concatenate([[0.02, 0.05, 0.1, 0.15],
                                        np.arange(0.2, 1.01, 0.1)]), 10)
+_FIG3_RADIUS = 1.0
+_FIG3_N_TEST = 400
 
 
 def _fig3_replicate(args):
@@ -180,19 +179,17 @@ def _fig3_replicate(args):
     return [float(g ** (p ** -alpha)) for g, p in zip(g_thinned, p_grid)]
 
 
-def replicate_fig3(replicates=200, seed=0, radius=1.0, p_grid=FIG3_P_GRID,
-                   n_test=400, jobs=1, out_path=None):
-    """Mean relative error of the thinning-based estimate of G(radius) as a
-    function of the retention probability p.
+def replicate_fig3(replicates=200, seed=0, jobs=1, out_path=None):
+    """Mean relative error of the thinning-based estimate of G(1) as a
+    function of the retention probability p on FIG3_P_GRID.
 
     Each replicate converts the thinned void estimate back to the unthinned
     tail via G = G_p^(p^-alpha) at the true alpha; p=1 is the plain empirical
     contact estimator.  Returns (p_grid, relative_errors).
     """
     _check_replicates(replicates)
-    p_grid = np.asarray(p_grid, dtype=float)
-    g_true = float(analytic_contact(FIG3_PARAMS, [radius]).values[0])
-    args = [(seed, rep, radius, tuple(p_grid), n_test)
+    g_true = float(analytic_contact(FIG3_PARAMS, [_FIG3_RADIUS]).values[0])
+    args = [(seed, rep, _FIG3_RADIUS, tuple(FIG3_P_GRID), _FIG3_N_TEST)
             for rep in range(replicates)]
     estimates = np.asarray(_run_map(_fig3_replicate, args, jobs))
     rel_err = np.mean(np.abs(estimates - g_true) / g_true, axis=0)
@@ -200,6 +197,6 @@ def replicate_fig3(replicates=200, seed=0, radius=1.0, p_grid=FIG3_P_GRID,
         with open(out_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["p", "relative_error"])
-            for p, e in zip(p_grid, rel_err):
+            for p, e in zip(FIG3_P_GRID, rel_err):
                 writer.writerow(["%.12g" % p, "%.12g" % e])
-    return p_grid, rel_err
+    return FIG3_P_GRID, rel_err

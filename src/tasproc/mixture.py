@@ -13,6 +13,10 @@ from .model import ValidationError
 
 __all__ = ["MixtureComponent", "MixtureModel", "em_estimate_mu0", "fit_gaussian_mixture"]
 
+_MAX_ITER = 200
+# EM stops once the log-likelihood gains less than _TOL per point.
+_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MixtureComponent:
@@ -73,8 +77,7 @@ def _log_gaussian_pdf(points, mean, cov):
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
 
 
-def fit_gaussian_mixture(points, k, rng, window=None, noise=False,
-                         max_iter=200, tol=1e-6):
+def fit_gaussian_mixture(points, k, rng, window=None, noise=False):
     """EM fit of a k-component Gaussian mixture (optional uniform noise).
 
     Covariances are ridge-regularized with eps = 1e-6 * window scale^2;
@@ -108,7 +111,7 @@ def fit_gaussian_mixture(points, k, rng, window=None, noise=False,
     it = 0
     converged = False
     prev_ll = -np.inf
-    while it < max_iter and k > 0:
+    while it < _MAX_ITER and k > 0:
         it += 1
         # E-step
         log_resp = np.empty((n, k + (1 if noise else 0)))
@@ -154,7 +157,7 @@ def fit_gaussian_mixture(points, k, rng, window=None, noise=False,
             noise_weight = float(resp[:, k].mean())
         weights = mass / n
 
-        if ll - prev_ll < tol * n and np.isfinite(prev_ll):
+        if ll - prev_ll < _TOL * n and np.isfinite(prev_ll):
             converged = True
             break
         prev_ll = ll
@@ -167,16 +170,14 @@ def fit_gaussian_mixture(points, k, rng, window=None, noise=False,
                         it, converged, loglik_trace=trace)
 
 
-def em_estimate_mu0(pattern, k_range, noise=False, rng=None, max_iter=200,
-                    tol=1e-6):
+def em_estimate_mu0(pattern, k_range, noise=False, rng=None):
     """Fit mixtures for each component count in k_range and pick by BIC."""
     if rng is None:
         raise ValidationError("an explicit RandomSource is required")
     best = None
     for k in k_range:
         model = fit_gaussian_mixture(pattern.points, int(k), rng,
-                                     window=pattern.window, noise=noise,
-                                     max_iter=max_iter, tol=tol)
+                                     window=pattern.window, noise=noise)
         if best is None or model.bic < best.bic:
             best = model
     return best

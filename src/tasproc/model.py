@@ -29,9 +29,6 @@ __all__ = [
     "write_pattern",
     "read_window_json",
     "write_window_json",
-    "mu0_from_json",
-    "params_from_json",
-    "params_to_json",
 ]
 
 # Coordinates are serialized with 12 significant digits.
@@ -137,8 +134,8 @@ class Window:
 class ClusterDistribution:
     """Offset distribution of a single cluster, centred at the origin.
 
-    Subclasses provide `dimension`, `sample(n, generator)`, a recommended
-    simulation buffer `effective_radius`, and JSON (de)serialization.
+    Subclasses provide `dimension`, `sample(n, generator)` and a recommended
+    simulation buffer `effective_radius`.
     """
 
     dimension = None
@@ -149,9 +146,6 @@ class ClusterDistribution:
     @property
     def effective_radius(self):
         """Buffer width covering (effectively) all of the offset mass."""
-        raise NotImplementedError
-
-    def to_json_dict(self):
         raise NotImplementedError
 
 
@@ -173,9 +167,6 @@ class UniformInterval(ClusterDistribution):
     @property
     def effective_radius(self):
         return self.halfwidth
-
-    def to_json_dict(self):
-        return {"type": "uniform", "halfwidth": self.halfwidth}
 
 
 @dataclass(frozen=True)
@@ -202,9 +193,6 @@ class IsotropicGaussian(ClusterDistribution):
     def effective_radius(self):
         # 6 sigma keeps the per-point truncation probability below 1e-8.
         return 6.0 * self.sigma
-
-    def to_json_dict(self):
-        return {"type": "gaussian", "dim": self.dim, "sigma": self.sigma}
 
 
 class EmpiricalCloud(ClusterDistribution):
@@ -233,9 +221,6 @@ class EmpiricalCloud(ClusterDistribution):
     def effective_radius(self):
         return float(np.max(np.linalg.norm(self._points, axis=1)))
 
-    def to_json_dict(self):
-        return {"type": "cloud", "points": self._points.tolist()}
-
     def __repr__(self):
         return "EmpiricalCloud(%d points, dim=%d)" % (len(self._points), self.dimension)
 
@@ -243,18 +228,6 @@ class EmpiricalCloud(ClusterDistribution):
         return isinstance(other, EmpiricalCloud) and np.array_equal(
             self._points, other._points
         )
-
-
-def mu0_from_json(obj):
-    """Build a ClusterDistribution from its JSON dict."""
-    kind = obj.get("type")
-    if kind == "uniform":
-        return UniformInterval(obj["halfwidth"])
-    if kind == "gaussian":
-        return IsotropicGaussian(int(obj["dim"]), obj["sigma"])
-    if kind == "cloud":
-        return EmpiricalCloud(obj["points"])
-    raise ValidationError("unknown mu0 type: %r" % (kind,))
 
 
 @dataclass(frozen=True)
@@ -270,18 +243,6 @@ class TasParameters:
             raise ValidationError("alpha must lie in (0, 1]")
         if self.lam <= 0:
             raise ValidationError("lambda must be > 0")
-
-
-def params_to_json(params):
-    return {
-        "alpha": params.alpha,
-        "lambda": params.lam,
-        "mu0": params.mu0.to_json_dict(),
-    }
-
-
-def params_from_json(obj):
-    return TasParameters(obj["alpha"], obj["lambda"], mu0_from_json(obj["mu0"]))
 
 
 class PointPattern:

@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# Total points one simulation may draw, buffer included: far above the
+# largest harness pattern (about 3e6 points) and far below what a heavy
+# Sibuya tail can ask for without `n_max`.
+_MAX_TOTAL_POINTS = 10 ** 8
 
 
 class RandomSource:
@@ -131,7 +135,8 @@ def simulate_tas(params, window, rng, buffer=None, keep_labels=False, n_max=None
     centred outside the window still drop points inside it); each centre gets
     an independent Sibuya(alpha) cluster of mu0 offsets; points outside the
     window are discarded.  With `keep_labels` each surviving point carries its
-    parent centre's index.
+    parent centre's index.  A draw of more than 10^8 points in all is refused
+    before any offset is sampled; `n_max` caps each cluster.
     """
     mu0 = params.mu0
     if mu0.dimension != window.dimension:
@@ -147,6 +152,12 @@ def simulate_tas(params, window, rng, buffer=None, keep_labels=False, n_max=None
     n_centres = centres.shape[0]
     if n_centres:
         sizes = sibuya_variates(params.alpha, n_centres, rng, n_max=n_max)
+        # Checked in float: a size beyond 2^63 would wrap in the int64 cast.
+        total = float(np.sum(sizes, dtype=float))
+        if total > _MAX_TOTAL_POINTS:
+            raise ValidationError(
+                "simulation would draw %.3g points, over the budget of %d; "
+                "set n_max to cap the cluster size" % (total, _MAX_TOTAL_POINTS))
         sizes = np.asarray(sizes, dtype=np.int64)
         offsets = mu0.sample(int(sizes.sum()), rng.generator)
         points = np.repeat(centres, sizes, axis=0) + offsets

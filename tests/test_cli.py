@@ -170,6 +170,20 @@ class TestGcurve:
         assert len(analytic) == len(rows)
 
 
+@pytest.mark.parametrize("command", ["fit", "gcurve"])
+@pytest.mark.parametrize("spec", ["grid:0", "random:0", "grid:-3"])
+def test_fewer_than_one_test_point_is_usage_error(tmp_path, capsys, command,
+                                                  spec):
+    pat = run_simulate(tmp_path)
+    out = tmp_path / "out"
+    extra = ["--method", "void"] if command == "fit" else []
+    code = main([command, "--in", str(pat), "--mu0", "uniform:1",
+                 "--test-points", spec, "--out", str(out), *extra])
+    assert code == EXIT_USAGE
+    assert "needs N >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestReplicate:
     def test_fig3_small_run(self, tmp_path, capsys):
         out = tmp_path / "fig3.csv"

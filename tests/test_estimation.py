@@ -331,8 +331,6 @@ class TestClusterSizeAlpha:
             estimate_alpha_from_cluster_sizes([])
         with pytest.raises(ValidationError):
             estimate_alpha_from_cluster_sizes([0, 2])
-        with pytest.raises(ValidationError):
-            estimate_alpha_from_cluster_sizes([1, 2], t_grid=[0.5])
 
 
 class TestEstimateMu0Empirical:
@@ -348,13 +346,6 @@ class TestEstimateMu0Empirical:
                                labels=["a", "a", "b", "b"])
         cloud = estimate_mu0_empirical(pattern)
         assert sorted(cloud.points[:, 0].tolist()) == [-1.0, -1.0, 1.0, 1.0]
-
-    def test_largest_k_selection(self):
-        pts = [[0.0], [2.0], [5.0], [6.0], [7.0]]
-        pattern = PointPattern(pts, Window([-20], [20]),
-                               labels=["a", "a", "b", "b", "b"])
-        cloud = estimate_mu0_empirical(pattern, selection="largest-k", k=1)
-        assert cloud.points.shape[0] == 3
 
     def test_uniform_cluster_recovered_within_kolmogorov_distance(self):
         gen = np.random.default_rng(9)

@@ -1,5 +1,4 @@
 import io
-import json
 
 import numpy as np
 import pytest
@@ -16,9 +15,6 @@ from tasproc.model import (
     UniformInterval,
     ValidationError,
     Window,
-    mu0_from_json,
-    params_from_json,
-    params_to_json,
     read_pattern,
     read_window_json,
     write_pattern,
@@ -78,11 +74,6 @@ class TestClusterDistributions:
         c = EmpiricalCloud([[3, 4], [0, 1]])
         assert c.effective_radius == pytest.approx(5.0)
 
-    def test_json_roundtrip_all_variants(self):
-        for mu0 in (UniformInterval(1.5), IsotropicGaussian(3, 0.7),
-                    EmpiricalCloud([[0.5], [-0.5]])):
-            assert mu0_from_json(mu0.to_json_dict()) == mu0
-
 
 class TestTasParameters:
     def test_validation(self):
@@ -93,11 +84,6 @@ class TestTasParameters:
             TasParameters(1.2, 1.0, mu0)
         with pytest.raises(ValidationError):
             TasParameters(0.5, 0.0, mu0)
-
-    def test_json_roundtrip(self):
-        p = TasParameters(0.6, 0.02, UniformInterval(1.0))
-        blob = json.dumps(params_to_json(p))
-        assert params_from_json(json.loads(blob)) == p
 
 
 class TestPatternCsv:

@@ -18,6 +18,7 @@ from tasproc import (
     thin,
     write_pattern,
 )
+from tasproc.sampling import _survival_table
 
 
 def pooled_chisquare(observed_values, alpha, n_cells=20):
@@ -90,6 +91,34 @@ class TestSibuyaSampler:
         a = sibuya_variates(0.6, 1000, RandomSource(7, 0))
         b = sibuya_variates(0.6, 1000, RandomSource(7, 1))
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("n_boundary", [4095, 4096])
+    def test_table_tail_boundary(self, alpha, n_boundary):
+        # The sampler inverts a table of s[n] = prod_{k<=n}(1 - alpha/k) up to
+        # n = 4096 and a log-gamma bisection beyond it.  Uniforms at and on
+        # either side of s[4095] and s[4096] must give the smallest n with
+        # prod_{k<=n}(1 - alpha/k) < u, on whichever side they fall.
+        class FixedUniform:
+            def __init__(self, r):
+                self.generator = self
+                self.r = r
+
+            def random(self, size):
+                return np.full(size, self.r)
+
+        prod = np.cumprod(np.concatenate(
+            [[1.0], 1.0 - alpha / np.arange(1.0, 4200.0)]))
+        s_b = _survival_table(alpha)[n_boundary]
+        r_at = 1.0 - s_b
+        seen = []
+        for r in (np.nextafter(r_at, 0.0), r_at, np.nextafter(r_at, 1.0)):
+            u = 1.0 - r  # what the sampler sees; need not equal s_b
+            seen.append(u)
+            expected = int(np.argmax(prod < u))
+            draw = sibuya_variates(alpha, 1, FixedUniform(r))
+            assert draw.tolist() == [expected], "u=%r" % u
+        assert seen[0] > s_b >= seen[2]
 
 
 class TestSibuyaCluster:
@@ -189,6 +218,20 @@ class TestSimulateTas:
                          n_max=10 ** 6)
         assert write_pattern(a) == write_pattern(b)
 
+    @pytest.mark.parametrize("alpha, total", [(0.2, "1.65e+11"),
+                                              (0.1, "2.13e+204")])
+    def test_total_point_budget_refused_before_sampling(self, alpha, total):
+        # Without n_max one Sibuya draw can ask for terabytes of offsets, or
+        # exceed 2^63 and wrap in an int64 cast.
+        class NeverSampled(UniformInterval):
+            def sample(self, n, generator):
+                raise AssertionError("sampled %d offsets" % n)
+
+        params = TasParameters(alpha, 0.4, NeverSampled(1.0))
+        with pytest.raises(ValidationError, match="n_max") as exc:
+            simulate_tas(params, Window([-50], [50]), RandomSource(0))
+        assert total in str(exc.value)
+
     def test_labels_partition_points(self):
         params = TasParameters(0.6, 0.4, UniformInterval(1.0))
         pattern = simulate_tas(params, Window([-50], [50]), RandomSource(15),
@@ -270,6 +313,23 @@ class TestThin:
         table = table[:, table.sum(axis=0) > 0]
         _, pval, _, _ = stats.chi2_contingency(table)
         assert pval > 0.01
+
+    def test_composition_keeps_each_point_with_product_frequency(self):
+        pattern = self.make_pattern(50)
+        reps = 2000
+        double = np.zeros(len(pattern))
+        single = np.zeros(len(pattern))
+        for i in range(reps):
+            once = thin(pattern, 0.6, RandomSource(24, i))
+            twice = thin(once, 0.5, RandomSource(25, i))
+            direct = thin(pattern, 0.3, RandomSource(26, i))
+            for out, kept in ((twice, double), (direct, single)):
+                idx = np.array([int(lab) for lab in out.labels], dtype=int)
+                assert np.array_equal(out.points, pattern.points[idx])
+                kept[idx] += 1
+        se = np.sqrt(0.3 * 0.7 / reps)
+        assert np.all(np.abs(double / reps - 0.3) < 4 * se)
+        assert np.all(np.abs(single / reps - 0.3) < 4 * se)
 
     def test_labels_preserved_on_survivors(self):
         pattern = self.make_pattern(200)
