@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtr, gammaln, ive, roots_legendre
+from scipy.special import chndtr, gammaln, ive, poch, roots_legendre
 
 from .model import (
     ContactCurve,
@@ -42,6 +42,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Sibuya distribution
 
+def _log_survival(n, alpha):
+    """log P{nu > n} = log prod_{k<=n} (1 - alpha/k)
+    = log(Gamma(n+1-alpha) / Gamma(n+1)) - log Gamma(1-alpha), alpha < 1.
+
+    The Pochhammer ratio keeps -alpha log n exact for large n, where a
+    difference of two gammaln values of order n log n cancels.
+    """
+    return np.log(poch(n + 1.0, -alpha)) - gammaln(1.0 - alpha)
+
+
 def sibuya_pmf(alpha, n):
     """P{nu = n} = prod_{k=1}^{n-1} (1 - alpha/k) * alpha/n, n = 1, 2, ...
 
@@ -55,9 +65,7 @@ def sibuya_pmf(alpha, n):
     if alpha == 1.0:
         out = np.where(n_arr == 1, 1.0, 0.0)
     else:
-        # alpha * Gamma(n - alpha) / (Gamma(1 - alpha) * Gamma(n + 1)), in log
-        out = alpha * np.exp(gammaln(n_arr - alpha) - gammaln(1.0 - alpha)
-                             - gammaln(n_arr + 1.0))
+        out = alpha / n_arr * np.exp(_log_survival(n_arr - 1.0, alpha))
     return float(out) if np.isscalar(n) else out
 
 
@@ -72,8 +80,7 @@ def sibuya_survival(alpha, n):
         return 1.0
     if alpha == 1.0:
         return 0.0
-    return float(np.exp(gammaln(n + 1.0 - alpha) - gammaln(1.0 - alpha)
-                        - gammaln(n + 1.0)))
+    return float(np.exp(_log_survival(float(n), alpha)))
 
 
 def sibuya_pgf(alpha, t):
@@ -278,14 +285,13 @@ _MC_SAMPLES = 200_000
 
 def _empirical_pieces_1d(mu0, radius):
     """Lengths and masses of the pieces on which mu0(B_r - x) is constant."""
-    y = mu0.points[:, 0]
-    n = y.size
-    events = np.concatenate([-y - radius, -y + radius])
-    events = np.unique(events)
+    y = np.sort(mu0.points[:, 0])
+    events = np.unique(np.concatenate([-y - radius, -y + radius]))
     mids = 0.5 * (events[:-1] + events[1:])
-    # mass at x: fraction of cloud points with |y + x| <= r
-    mass = (np.abs(y[None, :] + mids[:, None]) <= radius).sum(axis=1) / n
-    return np.diff(events), mass
+    # mass at x: fraction of cloud points y in [-x - r, -x + r]
+    inside = (np.searchsorted(y, radius - mids, side="right")
+              - np.searchsorted(y, -radius - mids, side="left"))
+    return np.diff(events), inside / y.size
 
 
 def _empirical_counts_mc(mu0, radius):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -68,15 +68,7 @@ class FitResult:
     extras: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        return {
-            "alpha_hat": self.alpha_hat,
-            "lambda_hat": self.lambda_hat,
-            "objective_value": self.objective_value,
-            "method": self.method,
-            "n_iterations": self.n_iterations,
-            "converged": self.converged,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +134,9 @@ def distance_profile(pattern, test_points, depth=1, method="kdtree"):
 # Contact-curve estimators
 
 def empirical_contact(profile, radii):
-    """G_hat(r) = fraction of test points whose nearest distance exceeds r."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.mean(profile.nearest[:, None] > radii[None, :], axis=0)
-    return ContactCurve(radii, values)
+    """G_hat(r) = fraction of test points whose nearest distance exceeds r:
+    the p = 1 slice of `thinned_contact_estimate`."""
+    return thinned_contact_estimate(profile, 1.0, radii)
 
 
 def thinned_contact_estimate(profile, p, radii):
@@ -240,14 +231,26 @@ def _collect_curves(data, p_values, radii):
     raise ValidationError("expected a DistanceProfile or a {p: ContactCurve} map")
 
 
-def _profiled_log_ls(s, idx, ghat, coverage):
-    """profiled(alpha) -> (lambda, SSE) for log G_hat = -lambda s^alpha I(r)
-    at points (r, s) = (radii[idx] of `coverage`, retention 1 - z) with
-    G_hat > 0.  The model is linear in lambda: for x = s^alpha I and
-    y = log G_hat, lambda(alpha) = max(0, -sum(x*y)/sum(x^2))."""
+def _fit_ls(radii, idx, s, ghat, mu0, objective, method):
+    """Least-squares fit of (alpha, lambda) to G_hat at the points
+    (radii[idx], s) under the model G = exp(-lambda s^alpha I(r; alpha)),
+    where s is the retention: p for a thinned void curve, 1 - z for a count
+    p.g.f.
+
+    direct-ls runs a bounded Nelder-Mead over (alpha, lambda); log-profiled-ls
+    searches over alpha only, with lambda profiled out of the log residuals
+    (points with G_hat = 0 are dropped there).  The log model is linear in
+    lambda: for x = s^alpha I and y = log G_hat,
+    lambda(alpha) = max(0, -sum(x*y)/sum(x^2)).
+    """
     if not np.all((s > 0.0) & (s <= 1.0)):
         raise ValidationError("retention probability must lie in (0, 1], "
                               "i.e. z in [0, 1)")
+    # -log G_hat estimates lambda s^alpha I(r; alpha), finite and positive
+    # only for 0 < G_hat < 1; two unknowns need two such points.
+    if np.count_nonzero((ghat > 0.0) & (ghat < 1.0)) < 2:
+        raise DegenerateDataError("need at least 2 points with 0 < G_hat < 1")
+    coverage = prepare_coverage(mu0, radii, alpha_min=_ALPHA_BOUNDS[0])
     pos = ghat > 0.0
     y = np.log(ghat[pos])
 
@@ -256,47 +259,16 @@ def _profiled_log_ls(s, idx, ghat, coverage):
         lam = max(0.0, float(-(x @ y) / max(float(x @ x), 1e-300)))
         resid = y + lam * x
         return lam, float(resid @ resid)
-    return profiled
-
-
-def _fit_profiled(profiled, method):
-    """Bounded scalar search of a `_profiled_log_ls` objective over alpha."""
-    res = optimize.minimize_scalar(
-        lambda a: profiled(a)[1], bounds=_ALPHA_BOUNDS, method="bounded",
-        options={"xatol": 1e-10, "maxiter": _MAX_ITER},
-    )
-    alpha_hat = float(res.x)
-    lambda_hat, obj = profiled(alpha_hat)
-    return FitResult(alpha_hat, lambda_hat, obj, method,
-                     n_iterations=int(res.nfev), converged=bool(res.success))
-
-
-def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None):
-    """Least-squares fit of (alpha, lambda) to void-probability curves.
-
-    `data` is either a DistanceProfile (curves are built internally, one per
-    entry of `p_values`, default p=1 only) or a mapping p -> ContactCurve.
-    The model value at (r, p) is exp(-lambda p^alpha I(r; alpha)).
-
-    direct-ls runs a bounded Nelder-Mead over (alpha, lambda); log-profiled-ls
-    searches over alpha only, with lambda profiled out of the log residuals
-    (radii with G_hat = 0 are dropped there), as `fit_pgf_curve` does.
-    """
-    curves = _collect_curves(data, p_values, radii)
-    if sum(c.radii.size for _, c in curves) < 2:
-        raise DegenerateDataError("need at least 2 usable radii")
-    ghat = np.concatenate([c.values for _, c in curves])
-    if np.all((ghat == 0.0) | (ghat == 1.0)):
-        raise DegenerateDataError("all empirical G values are 0 or 1")
-
-    unique_r = np.unique(np.concatenate([c.radii for _, c in curves]))
-    idx = np.concatenate([np.searchsorted(unique_r, c.radii) for _, c in curves])
-    s = np.concatenate([np.full(c.radii.size, p) for p, c in curves])
-    coverage = prepare_coverage(mu0, unique_r, alpha_min=_ALPHA_BOUNDS[0])
-    profiled = _profiled_log_ls(s, idx, ghat, coverage)
 
     if objective == "log-profiled-ls":
-        return _fit_profiled(profiled, "void-log-profiled-ls")
+        res = optimize.minimize_scalar(
+            lambda a: profiled(a)[1], bounds=_ALPHA_BOUNDS, method="bounded",
+            options={"xatol": 1e-10, "maxiter": _MAX_ITER},
+        )
+        alpha_hat = float(res.x)
+        lambda_hat, obj = profiled(alpha_hat)
+        return FitResult(alpha_hat, lambda_hat, obj, method,
+                         n_iterations=int(res.nfev), converged=bool(res.success))
     if objective != "direct-ls":
         raise ValidationError("unknown objective %r" % (objective,))
 
@@ -312,9 +284,28 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None):
         bounds=[_ALPHA_BOUNDS, (0.0, np.inf)],
         options={"maxiter": _MAX_ITER, "fatol": _FATOL, "xatol": 1e-8},
     )
-    return FitResult(float(res.x[0]), float(res.x[1]), float(res.fun),
-                     "void-direct-ls",
+    return FitResult(float(res.x[0]), float(res.x[1]), float(res.fun), method,
                      n_iterations=int(res.nit), converged=bool(res.success))
+
+
+def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None):
+    """Least-squares fit of (alpha, lambda) to void-probability curves.
+
+    `data` is either a DistanceProfile (curves are built internally, one per
+    entry of `p_values`, default p=1 only) or a mapping p -> ContactCurve.
+    The model value at (r, p) is exp(-lambda p^alpha I(r; alpha)), fitted
+    with `objective` "direct-ls" or "log-profiled-ls" as in `_fit_ls`.  Fewer
+    than 2 points with 0 < G_hat < 1 raise DegenerateDataError.
+    """
+    curves = _collect_curves(data, p_values, radii)
+    # The leading empty array lets a map without curves reach the
+    # degenerate-data rule.
+    empty = [np.zeros(0)]
+    r = np.concatenate(empty + [c.radii for _, c in curves])
+    s = np.concatenate(empty + [np.full(c.radii.size, p) for p, c in curves])
+    ghat = np.concatenate(empty + [c.values for _, c in curves])
+    unique_r, idx = np.unique(r, return_inverse=True)
+    return _fit_ls(unique_r, idx, s, ghat, mu0, objective, "void-" + objective)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +316,13 @@ def fit_pgf_curve(z_grid, g_values, mu0, radius):
 
     This is the void fit's log-profiled least squares at one radius, with
     retention s = 1 - z: lambda is profiled in closed form and the search
-    runs over alpha only.  Values g = 0 are dropped.
+    runs over alpha only.  Values g = 0 are dropped, and fewer than 2 values
+    with 0 < g < 1 raise DegenerateDataError.
     """
     z = np.asarray(z_grid, dtype=float)
-    g = np.asarray(g_values, dtype=float)
-    if np.count_nonzero(g > 0.0) < 2:
-        raise DegenerateDataError("fewer than 2 usable z values")
-    coverage = prepare_coverage(mu0, [radius], alpha_min=_ALPHA_BOUNDS[0])
-    profiled = _profiled_log_ls(1.0 - z, np.zeros(z.size, dtype=int), g,
-                                coverage)
-    return _fit_profiled(profiled, "count-pgf")
+    return _fit_ls([radius], np.zeros(z.size, dtype=int), 1.0 - z,
+                   np.asarray(g_values, dtype=float), mu0, "log-profiled-ls",
+                   "count-pgf")
 
 
 def fit_count_pgf(pattern, radius, z_grid, mu0):

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
+from .analytics import _log_survival
 from .model import PointPattern, ValidationError
 
 __all__ = [
@@ -60,11 +61,9 @@ def _survival_table(alpha):
     return np.concatenate([[1.0], np.cumprod(1.0 - alpha / k)])
 
 
-def _log_survival(n, alpha):
-    # prod_{k<=n} (1 - alpha/k) = Gamma(n+1-alpha) / (Gamma(1-alpha) Gamma(n+1))
-    return gammaln(n + 1.0 - alpha) - gammaln(1.0 - alpha) - gammaln(n + 1.0)
-
-
+# A draw beyond the float range brackets at inf, where the log survival is
+# -inf, and comes back as inf.
+@np.errstate(over="ignore", divide="ignore")
 def _invert_tail(alpha, u, n0):
     """Smallest n > n0 with survival(n) < u, for u <= survival(n0)."""
     logu = np.log(u)

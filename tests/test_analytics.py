@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tasproc import (
     sibuya_survival,
     thinned_contact_analytic,
 )
+from tasproc.analytics import _empirical_pieces_1d
 
 
 def _gaussian_ball_mass(s, r, sigma, d):
@@ -59,6 +61,14 @@ class TestSibuyaPmf:
         for alpha in (0.3, 0.9):
             prod = np.prod(1.0 - alpha / np.arange(1, 51))
             assert sibuya_survival(alpha, 50) == pytest.approx(prod, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 0.9])
+    def test_survival_far_tail_is_power_law(self, alpha):
+        # Gamma(n+1-alpha)/Gamma(n+1) = n^-alpha (1 + O(1/n)).
+        n = 10 ** 15
+        law = n ** -alpha / math.gamma(1.0 - alpha)
+        assert sibuya_survival(alpha, n) == pytest.approx(law, rel=1e-12)
+        assert sibuya_pmf(alpha, n) == pytest.approx(alpha / n * law, rel=1e-12)
 
 
 class TestSibuyaPgf:
@@ -182,6 +192,31 @@ class TestCoverageIntegral:
         res = coverage_integral(cloud, radius, alpha)
         assert res.method == "closed-form"
         assert res.value == pytest.approx(oracle, abs=1e-6)
+
+    def test_empirical_cloud_1d_pieces_match_dense_count(self):
+        def dense(y, radius):
+            events = np.unique(np.concatenate([-y - radius, -y + radius]))
+            mids = 0.5 * (events[:-1] + events[1:])
+            inside = np.abs(y[None, :] + mids[:, None]) <= radius
+            return np.diff(events), inside.sum(axis=1) / y.size
+
+        gen = np.random.default_rng(8)
+        for _ in range(100):
+            y = gen.normal(0, 1, gen.integers(1, 120))
+            radius = gen.uniform(0.01, 3.0)
+            lengths, mass = _empirical_pieces_1d(EmpiricalCloud(y[:, None]),
+                                                 radius)
+            want_lengths, want_mass = dense(y, radius)
+            assert np.array_equal(lengths, want_lengths)
+            assert np.array_equal(mass, want_mass)
+
+    def test_empirical_cloud_1d_large_cloud_is_fast(self):
+        # A dense piece-by-point matrix would take 5 GB here.
+        cloud = EmpiricalCloud(np.random.default_rng(9).normal(0, 1, (50_000, 1)))
+        start = time.perf_counter()
+        values = prepare_coverage(cloud, [0.5, 1.0, 2.0]).values(0.6)
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.diff(values) > 0)
 
     def test_empirical_cloud_2d_monte_carlo(self):
         gen = np.random.default_rng(3)

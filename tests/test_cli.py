@@ -151,6 +151,15 @@ class TestFit:
         assert code == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
 
+    def test_pgf_with_every_ball_empty_numeric_exit(self, tmp_path, capsys):
+        # One point in a corner leaves all 400 unit balls empty: g(z) = 1.
+        pat = tmp_path / "corner.csv"
+        pat.write_text("x,y\n-24,-24\n")
+        code = main(["fit", "--in", str(pat), "--window=-25:25,-25:25",
+                     "--method", "pgf", "--mu0", "gauss:2:1"])
+        assert code == EXIT_NUMERIC
+        assert "numerical error" in capsys.readouterr().err
+
 
 class TestGcurve:
     def test_writes_empirical_and_analytic_csv(self, tmp_path):

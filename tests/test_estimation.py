@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from tasproc import (
     DegenerateDataError,
     EmpiricalCloud,
+    FitResult,
     PointPattern,
     RandomSource,
     TasParameters,
@@ -166,6 +169,29 @@ class TestCountTransformProperties:
         assert np.all(curve.values == (1.0 - p) ** profile.depth)
 
 
+def _reject_constant(name):
+    raise ValueError("non-finite JSON constant %s" % name)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestFitResultJson:
+    @settings(max_examples=200, deadline=None)
+    @given(finite, finite, finite, st.text(), st.integers(0, 2 ** 31),
+           st.booleans(),
+           st.dictionaries(st.text(), st.one_of(finite, st.integers(),
+                                                st.booleans(), st.text())))
+    def test_round_trip_through_strict_json(self, alpha, lam, objective,
+                                            method, n_iterations, converged,
+                                            extras):
+        fit = FitResult(alpha, lam, objective, method, n_iterations,
+                        converged, extras)
+        text = json.dumps(fit.to_json_dict(), allow_nan=False)
+        assert FitResult(**json.loads(text,
+                                      parse_constant=_reject_constant)) == fit
+
+
 class TestFitVoid:
     mu0 = UniformInterval(1.0)
 
@@ -240,6 +266,17 @@ class TestFitVoid:
             fit_void(flat, self.mu0)
 
     @pytest.mark.parametrize("objective", ["direct-ls", "log-profiled-ls"])
+    def test_one_point_strictly_inside_unit_interval_rejected(self, objective):
+        from tasproc.model import ContactCurve
+        curves = {1.0: ContactCurve([1.0, 2.0], [0.5, 0.0])}
+        with pytest.raises(DegenerateDataError):
+            fit_void(curves, self.mu0, objective=objective)
+
+    def test_empty_curve_map_rejected(self):
+        with pytest.raises(DegenerateDataError):
+            fit_void({}, self.mu0)
+
+    @pytest.mark.parametrize("objective", ["direct-ls", "log-profiled-ls"])
     @pytest.mark.parametrize("p", [1.5, 0.0, -0.2, np.nan])
     def test_retention_outside_unit_interval_rejected(self, objective, p):
         from tasproc.model import ContactCurve
@@ -274,6 +311,10 @@ class TestFitCountPgf:
         fit = fit_pgf_curve(z, g, self.mu0, 1.0)
         assert fit.alpha_hat == pytest.approx(0.7, abs=1e-6)
         assert fit.lambda_hat == pytest.approx(0.1, abs=1e-6)
+
+    def test_pgf_curve_one_value_below_one_rejected(self):
+        with pytest.raises(DegenerateDataError):
+            fit_pgf_curve([0.2, 0.5], [1.0, 0.9], self.mu0, 1.0)
 
     @pytest.mark.parametrize("z", [1.5, 1.0, -0.1, np.nan])
     def test_pgf_curve_z_outside_unit_interval_rejected(self, z):

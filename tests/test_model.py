@@ -21,6 +21,8 @@ from tasproc.model import (
     write_window_json,
 )
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
 
 class TestWindow:
     def test_volume_matches_hand_computed_boxes(self):
@@ -46,14 +48,19 @@ class TestWindow:
         assert pts.shape == (400, 2)
         assert np.all(w.contains(pts))
 
-    def test_json_roundtrip(self):
-        w = Window([-2, 0], [3, 5])
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(finite, finite).filter(lambda b: b[0] < b[1]),
+                    min_size=1, max_size=3),
+           st.dictionaries(st.text(), st.one_of(finite, st.integers(),
+                                                st.booleans(), st.text())))
+    def test_json_roundtrip(self, bounds, metadata):
+        w = Window([lo for lo, _ in bounds], [hi for _, hi in bounds])
         buf = io.StringIO()
-        write_window_json(w, buf, metadata={"seed": 1})
+        write_window_json(w, buf, metadata=metadata)
         buf.seek(0)
         w2, meta = read_window_json(buf)
         assert w2 == w
-        assert meta == {"seed": 1}
+        assert meta == metadata
 
 
 class TestClusterDistributions:

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from tasproc import (
     IsotropicGaussian,
@@ -67,6 +69,23 @@ class TestSibuyaSampler:
         rng = RandomSource(4)
         draws = sibuya_variates(alpha, 10 ** 5, rng)
         assert pooled_chisquare(draws, alpha) > 0.01
+
+    def test_far_tail_frequency_matches_law(self):
+        # P(nu > n) ~ n^-alpha / Gamma(1 - alpha) far beyond the table.
+        n_draws, n = 200_000, 1e15
+        draws = sibuya_variates(0.1, n_draws, RandomSource(1))
+        law = n ** -0.1 / special.gamma(0.9)
+        se = np.sqrt(law * (1 - law) / n_draws)
+        assert abs(np.mean(draws > n) - law) < 3 * se
+
+    def test_draws_beyond_float_range_are_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            draws = sibuya_variates(0.01, 1000, RandomSource(0))
+        assert not np.any(np.isnan(draws))
+        assert np.all(draws >= 1)
+        # P(nu > 1.8e308) is about 8e-4 here; seed 0 draws one such value.
+        assert np.count_nonzero(np.isinf(draws)) == 1
 
     def test_domain_error(self):
         rng = RandomSource(0)
@@ -219,7 +238,7 @@ class TestSimulateTas:
         assert write_pattern(a) == write_pattern(b)
 
     @pytest.mark.parametrize("alpha, total", [(0.2, "1.65e+11"),
-                                              (0.1, "2.13e+204")])
+                                              (0.1, "6.41e+22")])
     def test_total_point_budget_refused_before_sampling(self, alpha, total):
         # Without n_max one Sibuya draw can ask for terabytes of offsets, or
         # exceed 2^63 and wrap in an int64 cast.
