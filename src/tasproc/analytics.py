@@ -109,29 +109,40 @@ class PreparedCoverage:
 
     Made by `prepare_coverage`, which does the alpha-independent work once.
     `integrals(alpha)` returns the values and their absolute error bounds,
-    `values(alpha)` the values alone; alpha must lie in [alpha_min, 1].  A
+    `values(alpha)` the values alone, and `values_and_derivatives(alpha)` the
+    values with their exact alpha-derivatives dI/dalpha, from the same
+    tables (computed only when asked); alpha must lie in [alpha_min, 1].  A
     quadrature whose bound exceeds max(1e-6, 1e-6 |I|) raises ArithmeticError.
     """
 
-    def __init__(self, method, alpha_min, integrals):
+    def __init__(self, method, alpha_min, evaluate):
         self.method = method
         self.alpha_min = alpha_min
-        self._integrals = integrals
+        self._evaluate = evaluate
 
-    def integrals(self, alpha):
+    def _checked(self, alpha):
+        """(values, bounds, derivatives) at alpha; `derivatives` is a
+        function of no arguments."""
         if not self.alpha_min <= alpha <= 1.0:
             raise ValidationError("alpha must lie in [%g, 1], the range the "
                                   "coverage was prepared for" % self.alpha_min)
-        values, bounds = self._integrals(alpha)
+        values, bounds, derivatives = self._evaluate(alpha)
         if self.method == "quadrature" and np.any(
                 bounds > np.maximum(1e-6, 1e-6 * np.abs(values))):
             raise ArithmeticError(
                 "quadrature failed its tolerance: achieved bound %g"
                 % np.max(bounds))
-        return values, bounds
+        return values, bounds, derivatives
+
+    def integrals(self, alpha):
+        return self._checked(alpha)[:2]
 
     def values(self, alpha):
-        return self.integrals(alpha)[0]
+        return self._checked(alpha)[0]
+
+    def values_and_derivatives(self, alpha):
+        values, _, derivatives = self._checked(alpha)
+        return values, derivatives()
 
 
 def prepare_coverage(mu0, radii, alpha_min=0.01):
@@ -142,6 +153,7 @@ def prepare_coverage(mu0, radii, alpha_min=0.01):
     integrated radially by Gauss-Legendre quadrature over ball masses
     tabulated once; a 1-D empirical cloud is exact by event decomposition, a
     higher-dimensional one is Monte Carlo over in-ball counts drawn once.
+    Each method differentiates its own sum in alpha, term by term.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all(radii > 0):
@@ -151,8 +163,8 @@ def prepare_coverage(mu0, radii, alpha_min=0.01):
     prepare = _PREPARERS.get(type(mu0))
     if prepare is None:
         raise ValidationError("unsupported cluster distribution %r" % (mu0,))
-    method, integrals = prepare(mu0, radii, alpha_min)
-    return PreparedCoverage(method, alpha_min, integrals)
+    method, evaluate = prepare(mu0, radii, alpha_min)
+    return PreparedCoverage(method, alpha_min, evaluate)
 
 
 def coverage_integral(mu0, radius, alpha):
@@ -177,24 +189,27 @@ def _gauss_legendre(n, lo, hi):
 
 # Uniform interval
 
-def _uniform_coverage(h, r, alpha):
-    """Closed form of int (|[x-r, x+r] cap [-h, h]| / 2h)^alpha dx, vectorized in r.
+def _prepare_uniform(mu0, radii, alpha_min):
+    """Closed form of int (|[x-r, x+r] cap [-h, h]| / 2h)^alpha dx.
 
     The overlap is 2*min(r, h) on the inner plateau and decays linearly to 0
     over the two ramps of length 2*min(r, h); each ramp integrates to
-    2*min(r,h)/( (alpha+1) * (2h)^alpha ) * (2*min(r,h))^alpha.
+    2*min(r,h)/( (alpha+1) * (2h)^alpha ) * (2*min(r,h))^alpha.  Both terms
+    carry (m/h)^alpha with m = min(r, h) (the plateau only where r <= h, so
+    m = r) and the ramps also 1/(alpha+1), which gives dI/dalpha.
     """
-    r = np.asarray(r, dtype=float)
-    m = np.minimum(r, h)
-    plateau = 2.0 * np.abs(h - r) * np.where(r <= h, (r / h) ** alpha, 1.0)
-    ramps = 2.0 * (2.0 * m) * (m / h) ** alpha / (alpha + 1.0)
-    return plateau + ramps
-
-
-def _prepare_uniform(mu0, radii, alpha_min):
     h = mu0.halfwidth
-    return "closed-form", lambda alpha: (_uniform_coverage(h, radii, alpha),
-                                         np.zeros(radii.size))
+    m = np.minimum(radii, h)
+    log_m = np.log(m / h)
+
+    def closed_form(alpha):
+        plateau = 2.0 * np.abs(h - radii) * np.where(radii <= h,
+                                                     (radii / h) ** alpha, 1.0)
+        ramps = 2.0 * (2.0 * m) * (m / h) ** alpha / (alpha + 1.0)
+        values = plateau + ramps
+        return (values, np.zeros(radii.size),
+                lambda: values * log_m - ramps / (alpha + 1.0))
+    return "closed-form", closed_form
 
 
 # Isotropic Gaussian
@@ -271,11 +286,13 @@ def _prepare_gaussian(mu0, radii, alpha_min):
     # Rounding allowance: one ulp of the value per node summed.
     ulps = w_fine.shape[1] * np.finfo(float).eps
 
-    def integrals(alpha):
+    def quadrature(alpha):
         coarse = np.sum(w_coarse * np.exp(alpha * log_coarse), axis=1)
-        fine = np.sum(w_fine * np.exp(alpha * log_fine), axis=1)
-        return fine, np.abs(fine - coarse) + ulps * fine
-    return "quadrature", integrals
+        powers = np.exp(alpha * log_fine)
+        fine = np.sum(w_fine * powers, axis=1)
+        return (fine, np.abs(fine - coarse) + ulps * fine,
+                lambda: np.sum(w_fine * log_fine * powers, axis=1))
+    return "quadrature", quadrature
 
 
 # Empirical cloud
@@ -314,25 +331,39 @@ def _empirical_counts_mc(mu0, radius):
                                                 minlength=pts.shape[0] + 1)
 
 
+def _log_or_zero(mass):
+    """log mass, with 0 where mass = 0: there mass^alpha and its
+    alpha-derivative mass^alpha log mass are both 0."""
+    return np.log(np.where(mass > 0.0, mass, 1.0))
+
+
 def _prepare_empirical(mu0, radii, alpha_min):
     if mu0.dimension == 1:
-        pieces = [_empirical_pieces_1d(mu0, r) for r in radii]
+        pieces = [(lengths, mass, _log_or_zero(mass)) for lengths, mass in
+                  (_empirical_pieces_1d(mu0, r) for r in radii)]
 
         def exact(alpha):
-            values = [np.sum(lengths * mass ** alpha) for lengths, mass in pieces]
-            return np.array(values, dtype=float), np.zeros(radii.size)
+            terms = [(lengths * mass ** alpha, log_mass)
+                     for lengths, mass, log_mass in pieces]
+            return (np.array([np.sum(t) for t, _ in terms]),
+                    np.zeros(radii.size),
+                    lambda: np.array([np.sum(t * log_mass)
+                                      for t, log_mass in terms]))
         return "closed-form", exact
 
     n = mu0.points.shape[0]
     vols, hists = (np.array(a) for a in zip(
         *(_empirical_counts_mc(mu0, r) for r in radii)))
+    mass = np.arange(n + 1) / n
+    log_mass = _log_or_zero(mass)
 
     def monte_carlo(alpha):
         # Plain Monte Carlo mean of mass^alpha, with three standard errors.
-        f = (np.arange(n + 1) / n) ** alpha
+        f = mass ** alpha
         mean = hists @ f / _MC_SAMPLES
         var = np.sum(hists * (f - mean[:, None]) ** 2, axis=1) / (_MC_SAMPLES - 1)
-        return vols * mean, 3.0 * vols * np.sqrt(var / _MC_SAMPLES)
+        return (vols * mean, 3.0 * vols * np.sqrt(var / _MC_SAMPLES),
+                lambda: vols * (hists @ (f * log_mass)) / _MC_SAMPLES)
     return "monte-carlo", monte_carlo
 
 

@@ -10,8 +10,11 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import optimize
 from scipy.spatial import cKDTree
+
+# The solvers stay reachable as the module attribute `optimize`:
+# perfbench/tracing.py counts objective evaluations through it.
+from . import _optimize as optimize
 
 # coverage_integral and coverage_values stay importable from this module:
 # perfbench/tracing.py hooks the coverage layer under these names.
@@ -49,7 +52,6 @@ __all__ = [
 # to its lower end.
 _ALPHA_BOUNDS = (0.01, 0.999)
 _MAX_ITER = 500
-_FATOL = 1e-8
 _N_TEST_POINTS = 400
 
 
@@ -145,10 +147,12 @@ def thinned_contact_estimate(profile, p, radii):
     Returns mean_i (1-p)^{N_i(r)}, the conditional void probability given the
     pattern, where N_i(r) = #{k : r_{i,k} <= r} counts the recorded neighbours
     of test point i within r, capped at the depth K; N = K leaves the tail
-    (1-p)^K that every recorded point is thinned away.
+    (1-p)^K that every recorded point is thinned away, unless the profile
+    records every pattern point (`depth_clamped`) and N_i(r) is exact.
     """
     radii = np.asarray(radii, dtype=float)
-    return ContactCurve(radii, _thinned_values(_count_freq(profile, radii), p))
+    return ContactCurve(radii, _thinned_values(_count_freq(profile, radii), p,
+                                               profile.depth_clamped))
 
 
 def _count_freq(profile, radii):
@@ -167,12 +171,13 @@ def _count_freq(profile, radii):
     return hist / n
 
 
-def _thinned_values(freq, p):
-    """mean_i (1-p)^{N_i(r)} per radius, from `_count_freq`."""
+def _thinned_values(freq, p, exact):
+    """mean_i (1-p)^{N_i(r)} per radius, from `_count_freq`; `exact` marks
+    counts without a depth tail, which need no tail-bound warning."""
     if not 0.0 < p <= 1.0:
         raise ValidationError("retention probability must lie in (0, 1]")
     k = freq.shape[1] - 1
-    if p < 1.0 and (1.0 - p) ** k > 1e-3:
+    if p < 1.0 and not exact and (1.0 - p) ** k > 1e-3:
         warnings.warn(
             "profile depth %d leaves a geometric tail bound of %.3g at p=%.3g"
             % (k, (1.0 - p) ** k, p),
@@ -224,7 +229,8 @@ def _collect_curves(data, p_values, radii):
             radii = radii[radii > 0]
         radii = np.asarray(radii, dtype=float)
         freq = _count_freq(data, radii)
-        return [(p, ContactCurve(radii, _thinned_values(freq, p)))
+        return [(p, ContactCurve(radii, _thinned_values(freq, p,
+                                                        data.depth_clamped)))
                 for p in ([1.0] if p_values is None else p_values)]
     if hasattr(data, "items"):
         return [(float(p), curve) for p, curve in data.items()]
@@ -237,9 +243,10 @@ def _fit_ls(radii, idx, s, ghat, mu0, objective, method):
     where s is the retention: p for a thinned void curve, 1 - z for a count
     p.g.f.
 
-    direct-ls runs a bounded Nelder-Mead over (alpha, lambda); log-profiled-ls
-    searches over alpha only, with lambda profiled out of the log residuals
-    (points with G_hat = 0 are dropped there).  The log model is linear in
+    direct-ls runs a bounded Levenberg-Marquardt over (alpha, lambda) with the
+    exact Jacobian; log-profiled-ls runs Brent's bounded search over alpha
+    only, with lambda profiled out of the log residuals (points with
+    G_hat = 0 are dropped there).  The log model is linear in
     lambda: for x = s^alpha I and y = log G_hat,
     lambda(alpha) = max(0, -sum(x*y)/sum(x^2)).
     """
@@ -261,29 +268,33 @@ def _fit_ls(radii, idx, s, ghat, mu0, objective, method):
         return lam, float(resid @ resid)
 
     if objective == "log-profiled-ls":
-        res = optimize.minimize_scalar(
-            lambda a: profiled(a)[1], bounds=_ALPHA_BOUNDS, method="bounded",
-            options={"xatol": 1e-10, "maxiter": _MAX_ITER},
-        )
+        res = optimize.minimize_scalar(lambda a: profiled(a)[1],
+                                       bounds=_ALPHA_BOUNDS, xatol=1e-10,
+                                       maxiter=_MAX_ITER)
         alpha_hat = float(res.x)
         lambda_hat, obj = profiled(alpha_hat)
         return FitResult(alpha_hat, lambda_hat, obj, method,
                          n_iterations=int(res.nfev), converged=bool(res.success))
     if objective != "direct-ls":
         raise ValidationError("unknown objective %r" % (objective,))
+    log_s = np.log(s)
 
-    def sse(x):
-        alpha, lam = x
-        resid = ghat - np.exp(-lam * s ** alpha * coverage.values(alpha)[idx])
-        return float(resid @ resid)
+    def residuals(theta):
+        # r = G_hat - exp(-lambda x), x = s^alpha I(r; alpha), and
+        # dx/dalpha = s^alpha (I log s + dI/dalpha).
+        alpha, lam = theta
+        cov, dcov = coverage.values_and_derivatives(alpha)
+        s_alpha = s ** alpha
+        x = s_alpha * cov[idx]
+        model = np.exp(-lam * x)
+        dx = s_alpha * (cov[idx] * log_s + dcov[idx])
+        return ghat - model, np.column_stack([lam * model * dx, model * x])
 
     alpha0 = 0.5 * (_ALPHA_BOUNDS[0] + _ALPHA_BOUNDS[1])
     lam0 = profiled(alpha0)[0] or 1.0
-    res = optimize.minimize(
-        sse, x0=[alpha0, lam0], method="Nelder-Mead",
-        bounds=[_ALPHA_BOUNDS, (0.0, np.inf)],
-        options={"maxiter": _MAX_ITER, "fatol": _FATOL, "xatol": 1e-8},
-    )
+    res = optimize.minimize(residuals, [alpha0, lam0],
+                            bounds=[_ALPHA_BOUNDS, (0.0, np.inf)],
+                            maxiter=_MAX_ITER)
     return FitResult(float(res.x[0]), float(res.x[1]), float(res.fun), method,
                      n_iterations=int(res.nit), converged=bool(res.success))
 

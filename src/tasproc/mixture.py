@@ -16,6 +16,12 @@ __all__ = ["MixtureComponent", "MixtureModel", "em_estimate_mu0", "fit_gaussian_
 _MAX_ITER = 200
 # EM stops once the log-likelihood gains less than _TOL per point.
 _TOL = 1e-6
+# Largest n points x summed component counts x d dimensions em_estimate_mu0
+# accepts; EM's cost grows with that product.  It admits demo 03 (349,527
+# points, k = 1..3: 4.19e6).  At the bound, on a 2-core machine, 150,000
+# points of a Gaussian-cluster pattern with k = 1..5 take 15 s, and
+# structureless uniform points, which run every k to _MAX_ITER, 76 s.
+_MAX_EM_WORK = 4_500_000
 
 
 @dataclass(frozen=True)
@@ -171,9 +177,19 @@ def fit_gaussian_mixture(points, k, rng, window=None, noise=False):
 
 
 def em_estimate_mu0(pattern, k_range, noise=False, rng=None):
-    """Fit mixtures for each component count in k_range and pick by BIC."""
+    """Fit mixtures for each component count in k_range and pick by BIC.
+
+    Inputs whose n points x sum(k_range) x d dimensions exceed the work
+    budget of 4.5e6 are refused before any EM step.
+    """
     if rng is None:
         raise ValidationError("an explicit RandomSource is required")
+    n, d = pattern.points.shape
+    work = n * sum(int(k) for k in k_range) * d
+    if work > _MAX_EM_WORK:
+        raise ValidationError(
+            "EM work n * sum(k) * d = %d exceeds the budget of %d; fit fewer "
+            "points or fewer components" % (work, _MAX_EM_WORK))
     best = None
     for k in k_range:
         model = fit_gaussian_mixture(pattern.points, int(k), rng,

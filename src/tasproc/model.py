@@ -401,10 +401,15 @@ def write_pattern(pattern, stream=None):
 
 
 def read_pattern(stream, window):
-    """Parse a point-pattern CSV; validates every point against the window."""
+    """Parse a point-pattern CSV; validates every point against the window.
+
+    An unlabelled file goes through numpy's parser first; any file it does
+    not take whole goes through the csv reader, which names the bad line.
+    """
     if isinstance(stream, (str, bytes)):
         stream = io.StringIO(stream.decode() if isinstance(stream, bytes) else stream)
-    reader = csv.reader(stream)
+    text = stream.read()
+    reader = csv.reader(io.StringIO(text))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -419,6 +424,11 @@ def read_pattern(stream, window):
             "file is %d-dimensional but window is %d-dimensional"
             % (d, window.dimension)
         )
+    # Without a CR the header row ends at the first newline.
+    if not has_labels and "\r" not in text:
+        pts = _plain_rows(text.partition("\n")[2], d)
+        if pts is not None:
+            return PointPattern(pts, window)
     points, labels = [], [] if has_labels else None
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -435,6 +445,23 @@ def read_pattern(stream, window):
             labels.append(row[d])
     pts = np.asarray(points, dtype=float).reshape(-1, d)
     return PointPattern(pts, window, labels=labels)
+
+
+def _plain_rows(body, d):
+    """The rows of `body` as an (n, d) array by numpy's C parser, or None.
+
+    numpy refuses quoted fields, underscores, non-ASCII digits and rows of
+    changing length, where the csv reader differs or names the bad line;
+    every row it does take, the csv reader parses to the same floats.
+    """
+    if not body.strip():
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                          ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == d else None
 
 
 def write_window_json(window, stream, metadata=None):

@@ -258,6 +258,27 @@ class TestPreparedCoverage:
                 assert value == pytest.approx(single.value, rel=1e-13)
                 assert coverage.method == single.method
 
+    @pytest.mark.parametrize("mu0", [
+        UniformInterval(1.0),
+        IsotropicGaussian(1, 0.8),
+        IsotropicGaussian(2, 1.0),
+        IsotropicGaussian(3, 1.3),
+        # Far-apart points leave zero-mass pieces between them at r = 0.3.
+        EmpiricalCloud([[-2.0], [-0.5], [0.2], [0.9], [3.0]]),
+        EmpiricalCloud(np.random.default_rng(3).normal(0, 0.5, (20, 2))),
+    ])
+    def test_derivative_matches_central_differences(self, mu0):
+        radii = [0.3, 1.0, 2.5, 6.0]
+        coverage = prepare_coverage(mu0, radii, alpha_min=0.005)
+        for alpha in np.random.default_rng(7).uniform(0.01, 0.999, 5):
+            values, derivatives = coverage.values_and_derivatives(alpha)
+            assert np.array_equal(values, coverage.values(alpha))
+            h = 1e-4 * alpha
+            central = (coverage.values(alpha + h)
+                       - coverage.values(alpha - h)) / (2.0 * h)
+            assert np.all(np.isfinite(derivatives))
+            assert derivatives == pytest.approx(central, rel=1e-6)
+
     def test_alpha_outside_prepared_range_rejected(self):
         coverage = prepare_coverage(IsotropicGaussian(2, 1.0), [1.0],
                                     alpha_min=0.2)

@@ -234,21 +234,45 @@ class TestReplicate:
 
 
 def test_pgf_fit_imports_neither_scipy_stats_nor_integrate(tmp_path):
+    # Nor scipy.optimize: after the imports, a p.g.f. fit and a direct-ls
+    # void-thinned fit.
     pat = tmp_path / "pat.csv"
     assert main(["simulate", "--alpha", "0.7", "--lambda", "0.1",
                  "--mu0", "gauss:2:1", "--window=-10:10,-10:10",
                  "--seed", "3", "--out", str(pat)]) == EXIT_OK
     script = "\n".join([
         "import sys",
+        "def loaded():",
+        "    return [m for m in ('scipy.stats', 'scipy.integrate',",
+        "                        'scipy.optimize') if m in sys.modules]",
         "import tasproc, tasproc.cli",
+        "print(loaded())",
         "code = tasproc.cli.main(['fit', '--in', sys.argv[1], '--method', "
         "'pgf', '--mu0', 'gauss:2:1', '--out', sys.argv[1] + '.fit.json'])",
-        "print(code, [m for m in ('scipy.stats', 'scipy.integrate')",
-        "             if m in sys.modules])",
+        "print(code, loaded())",
+        "code = tasproc.cli.main(['fit', '--in', sys.argv[1], '--method', "
+        "'void-thinned', '--mu0', 'gauss:2:1', '--p', '0.5:1.0:0.5', "
+        "'--test-points', 'grid:50'])",
+        "print(code, loaded())",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(tasproc.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, str(pat)],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    lines = [line for line in proc.stdout.splitlines()
+             if not line.startswith("alpha_hat")]
+    assert lines == ["[]", "%d []" % EXIT_OK, "%d []" % EXIT_OK]
+
+
+def test_em_over_work_budget_is_usage_error(tmp_path, capsys):
+    pat = tmp_path / "pat.csv"
+    pattern = tasproc.PointPattern(
+        np.random.default_rng(0).uniform(-10, 10, (1765, 2)),
+        Window([-10, -10], [10, 10]))
+    with open(pat, "w") as fh:
+        tasproc.write_pattern(pattern, fh)
+    code = main(["fit", "--in", str(pat), "--window=-10:10,-10:10",
+                 "--method", "em-mu0", "--k", "1:50"])
+    assert code == EXIT_USAGE
+    assert "budget of 4500000" in capsys.readouterr().err

@@ -1,14 +1,17 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from tasproc import (
     DegenerateDataError,
     EmpiricalCloud,
     FitResult,
+    IsotropicGaussian,
     PointPattern,
     RandomSource,
     TasParameters,
@@ -25,11 +28,18 @@ from tasproc import (
     fit_pgf_curve,
     fit_void,
     grid_test_points,
+    prepare_coverage,
     sibuya_variates,
     simulate_tas,
     thinned_contact_analytic,
     thinned_contact_closed_form,
     thinned_contact_estimate,
+)
+from tasproc.experiments import (
+    DEFAULT_P_VALUES,
+    HARNESS_N_MAX,
+    TABLE1_CELLS,
+    TABLE1_WINDOW,
 )
 from tasproc.model import DistanceProfile
 
@@ -116,6 +126,21 @@ class TestThinnedContact:
         profile = DistanceProfile([[0.0]], [[1.0, 3.0]])
         with pytest.warns(UserWarning, match="tail bound"):
             thinned_contact_estimate(profile, 0.1, [2.0])
+
+    def test_clamped_profile_is_exact_without_warning(self):
+        # Depth 60 on 18 points records every point, so (1-p)^18 = 0.0016 at
+        # p = 0.3 is no tail bound: N_i(r) is exact.
+        pattern = pattern_1d(np.random.default_rng(2).uniform(-90, 90, 18))
+        profile = distance_profile(
+            pattern, grid_test_points(pattern.window, 50), depth=60)
+        assert profile.depth_clamped
+        radii = np.linspace(1.0, 60.0, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = thinned_contact_estimate(profile, 0.3, radii)
+            fit_void(profile, UniformInterval(1.0), p_values=[0.3, 1.0])
+        brute = thinned_contact_closed_form(profile, 0.3, radii)
+        assert np.max(np.abs(curve.values - brute.values)) < 1e-15
 
 
 @st.composite
@@ -213,6 +238,20 @@ class TestFitVoid:
         assert fit.alpha_hat == pytest.approx(0.8, abs=1e-6)
         assert fit.lambda_hat == pytest.approx(0.4, abs=1e-6)
 
+    @pytest.mark.parametrize("mu0, radii", [
+        (IsotropicGaussian(2, 1.0), np.linspace(0.3, 4.0, 10)),
+        (EmpiricalCloud(np.random.default_rng(4).uniform(-1, 1, (30, 1))),
+         np.linspace(0.05, 3.0, 25)),
+    ])
+    def test_noise_free_non_uniform_mu0(self, mu0, radii):
+        params = TasParameters(0.7, 0.3, mu0)
+        curves = {p: thinned_contact_analytic(params, p, radii)
+                  for p in (0.4, 0.7, 1.0)}
+        fit = fit_void(curves, mu0)
+        assert fit.converged
+        assert fit.alpha_hat == pytest.approx(0.7, abs=1e-6)
+        assert fit.lambda_hat == pytest.approx(0.3, abs=1e-6)
+
     def test_profile_input_runs(self):
         params = TasParameters(0.6, 0.4, self.mu0)
         pattern = simulate_tas(params, Window([-200], [200]), RandomSource(3),
@@ -284,6 +323,64 @@ class TestFitVoid:
                   p: ContactCurve([1.0, 2.0], [0.9, 0.8])}
         with pytest.raises(ValidationError):
             fit_void(curves, self.mu0, objective=objective)
+
+
+def _table1_curves(seed, op):
+    """The thinned curves of the Table-1 replicate that perfbench's table1
+    workload runs as op `op` of a run with seed `seed`."""
+    replicate_seed = int(
+        np.random.SeedSequence([seed, op]).generate_state(1)[0])
+    alpha, lam = TABLE1_CELLS[op % len(TABLE1_CELLS)]
+    pattern = simulate_tas(TasParameters(alpha, lam, UniformInterval(1.0)),
+                           TABLE1_WINDOW, RandomSource(replicate_seed, 0),
+                           n_max=HARNESS_N_MAX)
+    profile = distance_profile(pattern, grid_test_points(TABLE1_WINDOW, 400),
+                               depth=60)
+    radii = np.unique(profile.nearest)
+    radii = radii[radii > 0]
+    return {p: thinned_contact_estimate(profile, p, radii)
+            for p in DEFAULT_P_VALUES}
+
+
+def _nelder_mead_sse(curves, mu0):
+    """The sum of squares a bounded Nelder-Mead reaches from direct-ls's
+    start: alpha mid-box, lambda profiled from the log residuals."""
+    radii, idx = np.unique(np.concatenate([c.radii for c in curves.values()]),
+                           return_inverse=True)
+    s = np.concatenate([np.full(c.radii.size, p) for p, c in curves.items()])
+    ghat = np.concatenate([c.values for c in curves.values()])
+    coverage = prepare_coverage(mu0, radii, alpha_min=0.01)
+
+    def sse(v):
+        alpha, lam = v
+        resid = ghat - np.exp(-lam * s ** alpha * coverage.values(alpha)[idx])
+        return float(resid @ resid)
+
+    alpha0 = 0.5 * (0.01 + 0.999)
+    pos = ghat > 0
+    x = (s ** alpha0 * coverage.values(alpha0)[idx])[pos]
+    lam0 = max(0.0, -(x @ np.log(ghat[pos])) / (x @ x)) or 1.0
+    res = optimize.minimize(
+        sse, x0=[alpha0, lam0], method="Nelder-Mead",
+        bounds=[(0.01, 0.999), (0.0, np.inf)],
+        options={"maxiter": 500, "fatol": 1e-8, "xatol": 1e-8})
+    return float(res.fun)
+
+
+@pytest.mark.filterwarnings("ignore:profile depth")
+@pytest.mark.parametrize("seed, op", [(1, op) for op in range(20, 36)]
+                         + [(7919, 42), (3, 6), (3, 18)])
+def test_direct_ls_never_worse_than_nelder_mead(seed, op):
+    mu0 = UniformInterval(1.0)
+    curves = _table1_curves(seed, op)
+    fit = fit_void(curves, mu0)
+    nm = _nelder_mead_sse(curves, mu0)
+    assert fit.converged
+    assert fit.objective_value <= nm * (1.0 + 1e-12)
+    if (seed, op) == (1, 30):
+        # Nelder-Mead stalls on the bound alpha = 0.999 here.
+        assert fit.alpha_hat < 0.995
+        assert fit.objective_value < nm * (1.0 - 1e-3)
 
 
 class TestBallCountPgf:

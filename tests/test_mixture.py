@@ -8,6 +8,7 @@ from tasproc import (
     Window,
     em_estimate_mu0,
     fit_gaussian_mixture,
+    mixture,
 )
 
 
@@ -87,6 +88,22 @@ class TestEmEstimateMu0:
                                 rng=RandomSource(6))
         assert len(model.components) == 1
         assert np.allclose(model.components[0].mean, 0.0, atol=0.2)
+
+    def test_work_budget_refused_before_any_em_step(self, monkeypatch):
+        def e_step(*args):
+            raise AssertionError("E-step ran")
+
+        monkeypatch.setattr(mixture, "_log_gaussian_pdf", e_step)
+        pts = np.random.default_rng(0).uniform(-10, 10, (1765, 2))
+        w = Window([-10, -10], [10, 10])
+        # n * sum(k) * d: 1765 * 1275 * 2 = 4500750 is over the budget of
+        # 4.5e6, 1764 * 1275 * 2 = 4498200 is not.
+        with pytest.raises(ValidationError, match="budget of 4500000"):
+            em_estimate_mu0(PointPattern(pts, w), range(1, 51),
+                            rng=RandomSource(0))
+        with pytest.raises(AssertionError, match="E-step ran"):
+            em_estimate_mu0(PointPattern(pts[:1764], w), range(1, 51),
+                            rng=RandomSource(0))
 
     def test_json_dict_roundtrips_through_json(self):
         import json

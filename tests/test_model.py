@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -151,6 +152,30 @@ class TestPatternCsv:
         pattern = PointPattern([[1.0]], Window([0], [10]), labels=[label])
         with pytest.raises(ValidationError, match="line breaks"):
             write_pattern(pattern)
+
+    @pytest.mark.parametrize("text", [
+        "x,y\n1,2\n3,4\n", "x,y\n1,2\n\n3,4\n", "x,y\n1,2\n3,4",
+        "x,y\n 1 , 2 \n", "x,y\n+1.,-.5e1\n", "x,y\n1_0,2\n",
+        'x,y\n1,"2"\n', "x,y\n\u0661,2\n", "x,y\n1,2\r\n3,4\r\n",
+        "x,y\n1,2\n \n3,4\n", "x,y\n1,2,\n",
+        "x,y\n1,2\n3\n", "x,y\n1,2\n3,4,5\n", "x,y\n1,2 3\n",
+        "x,y\n#1,2\n", "x,y\n\n\n", "x,y\n  \n", "x\n1\n2\n",
+    ])
+    def test_unlabelled_rows_parse_as_the_csv_reader_does(self, text):
+        # Reference: the csv reader, blank rows skipped, float() per field.
+        header, *rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        d = len(header)
+        w = Window([-20.0] * d, [20.0] * d)
+        try:
+            if any(len(row) != d for row in rows):
+                raise ValueError("ragged")
+            expected = np.array([[float(v) for v in row] for row in rows],
+                                dtype=float).reshape(-1, d)
+        except ValueError:
+            with pytest.raises(ParseError):
+                read_pattern(text, w)
+        else:
+            assert read_pattern(text, w).points.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda d: st.lists(
