@@ -5,12 +5,12 @@ fitting, the cluster-size alpha estimator, and empirical mu0 recovery.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # The solvers stay reachable as the module attribute `optimize`:
 # perfbench/tracing.py counts objective evaluations through it.
@@ -53,6 +53,8 @@ __all__ = [
 _ALPHA_BOUNDS = (0.01, 0.999)
 _MAX_ITER = 500
 _N_TEST_POINTS = 400
+# Candidate (point, centre) pairs `_ball_counts` tests at once: about 30 MB.
+_BALL_BLOCK = 1 << 20
 
 
 class DegenerateDataError(ValueError):
@@ -104,6 +106,14 @@ def _brute_force_distances(points, test_points, depth):
     return out
 
 
+def cKDTree(points):
+    """scipy's k-d tree over `points`, imported on first use: only k-NN
+    distance profiles need it, so a cold p.g.f. fit never loads
+    scipy.spatial."""
+    from scipy.spatial import cKDTree as tree
+    return tree(points)
+
+
 def distance_profile(pattern, test_points, depth=1, method="kdtree"):
     """Ascending distances from each test point to its `depth` nearest
     pattern points.
@@ -130,6 +140,82 @@ def distance_profile(pattern, test_points, depth=1, method="kdtree"):
     else:
         raise ValidationError("unknown method %r" % (method,))
     return DistanceProfile(test_points, dist, depth_clamped=clamped)
+
+
+def _ball_counts(points, centres, radius):
+    """#{j : sum((points[j] - centres[i])**2) <= radius**2} for each centre i.
+
+    A fixed-radius cell list (Bentley, Stanat & Williams, Inf. Process.
+    Lett. 6(6), 1977): the points are binned into cells at least `radius`
+    wide and sorted by row-major cell key, so the 3 cells of one row along
+    the last axis are one slice.  Each centre tests the points in the
+    3^(d-1) rows around its cell, in blocks of `_BALL_BLOCK` pairs.  The
+    grid is coarsened to at most 2^min(20, 60 // d) cells per axis, which
+    keeps keys and cell coordinates exact; coarser cells only test more
+    candidates.
+    """
+    m, d = centres.shape
+    counts = np.zeros(m, dtype=np.int64)
+    if points.shape[0] == 0 or m == 0:
+        return counts
+    lo = points.min(axis=0)
+    extent = float(np.max(points.max(axis=0) - lo))
+    # The 2^-20 margin keeps any pair the distance test accepts within one
+    # cell per axis despite rounding in the cell coordinates.
+    side = max(radius * (1.0 + 2.0 ** -20),
+               extent / 2.0 ** min(20, 60 // d)) or 1.0
+    key = np.zeros(points.shape[0], dtype=np.int64)
+    shape, centre_cells = [], []
+    for k in range(d):
+        cell = ((points[:, k] - lo[k]) / side).astype(np.int64)
+        shape.append(int(cell.max()) + 1)
+        key *= shape[k]
+        key += cell
+        centre_cells.append(np.clip((centres[:, k] - lo[k]) / side, 0,
+                                    shape[k] - 1).astype(np.int64))
+    order = np.argsort(key)
+    key = key[order]
+    cols = [points[order, k] for k in range(d)]
+    del order
+
+    # One segment of sorted points per (row offset, centre).
+    last = centre_cells[-1]
+    first_cell = np.maximum(last - 1, 0)
+    last_cell = np.minimum(last + 1, shape[-1] - 1)
+    starts, stops = [], []
+    for offset in itertools.product((-1, 0, 1), repeat=d - 1):
+        row = np.zeros(m, dtype=np.int64)
+        inside = np.ones(m, dtype=bool)
+        for k, step in enumerate(offset):
+            cell = centre_cells[k] + step
+            inside &= (cell >= 0) & (cell < shape[k])
+            row = row * shape[k] + cell
+        row *= shape[-1]
+        start = np.searchsorted(key, row + first_cell, side="left")
+        stop = np.searchsorted(key, row + last_cell, side="right")
+        starts.append(start)
+        stops.append(np.where(inside, stop, start))
+    del key
+    starts, stops = np.concatenate(starts), np.concatenate(stops)
+    owner = np.tile(np.arange(m), 3 ** (d - 1))
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    # Candidate c of the concatenated segments is point c + shift[segment].
+    shift = starts - (ends - lengths)
+    r2 = radius * radius
+    for b0 in range(0, int(ends[-1]), _BALL_BLOCK):
+        b1 = min(b0 + _BALL_BLOCK, int(ends[-1]))
+        s0 = int(np.searchsorted(ends, b0, side="right"))
+        s1 = int(np.searchsorted(ends, b1 - 1, side="right")) + 1
+        span = (np.minimum(ends[s0:s1], b1)
+                - np.maximum(ends[s0:s1] - lengths[s0:s1], b0))
+        idx = np.arange(b0, b1) + np.repeat(shift[s0:s1], span)
+        own = np.repeat(owner[s0:s1], span)
+        d2 = (cols[0][idx] - centres[own, 0]) ** 2
+        for k in range(1, d):
+            d2 += (cols[k][idx] - centres[own, k]) ** 2
+        counts += np.bincount(own[d2 <= r2], minlength=m)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +432,10 @@ def fit_count_pgf(pattern, radius, z_grid, mu0):
     z = np.asarray(z_grid, dtype=float)
     if np.any((z <= 0) | (z >= 1)):
         raise ValidationError("z grid must lie strictly inside (0, 1)")
+    if not radius > 0:
+        raise ValidationError("radius must be > 0")
     test_points = pattern.window.erode(radius).grid_points(_N_TEST_POINTS)
-    tree = cKDTree(pattern.points)
-    counts = tree.query_ball_point(test_points, r=radius, return_length=True)
+    counts = _ball_counts(pattern.points, test_points, radius)
     ghat = ball_count_pgf(counts, z)
     result = fit_pgf_curve(z, ghat, mu0, radius)
     result.extras["n_test_points"] = int(test_points.shape[0])

@@ -15,11 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .analytics import analytic_contact
-from .estimation import (ball_count_pgf, distance_profile, fit_void,
-                         grid_test_points)
+# cKDTree is unused here but stays importable: perfbench/tracing.py hooks
+# tasproc.experiments.cKDTree, and its --quick check fails on a missing hook.
+from .estimation import (_ball_counts, ball_count_pgf, cKDTree,  # noqa: F401
+                         distance_profile, fit_void, grid_test_points)
 from .model import (IsotropicGaussian, TasParameters, UniformInterval,
                     ValidationError, Window)
 from .sampling import RandomSource, simulate_tas
@@ -172,8 +173,7 @@ def _fig3_replicate(args):
     # Erode by the ball radius so every test ball is fully observed.
     test_points = grid_test_points(FIG3_WINDOW.erode(radius), n_test)
     # Exact ball counts give the depth-free closed form (1/n) sum (1-p)^N_i.
-    counts = cKDTree(pattern.points).query_ball_point(
-        test_points, r=radius, return_length=True)
+    counts = _ball_counts(pattern.points, test_points, radius)
     alpha = FIG3_PARAMS.alpha
     g_thinned = ball_count_pgf(counts, [1.0 - p for p in p_grid])
     return [float(g ** (p ** -alpha)) for g, p in zip(g_thinned, p_grid)]

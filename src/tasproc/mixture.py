@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import ValidationError
 
@@ -19,8 +18,8 @@ _TOL = 1e-6
 # Largest n points x summed component counts x d dimensions em_estimate_mu0
 # accepts; EM's cost grows with that product.  It admits demo 03 (349,527
 # points, k = 1..3: 4.19e6).  At the bound, on a 2-core machine, 150,000
-# points of a Gaussian-cluster pattern with k = 1..5 take 15 s, and
-# structureless uniform points, which run every k to _MAX_ITER, 76 s.
+# structureless uniform points with k = 1..5, which run every k to
+# _MAX_ITER, take 23 s.
 _MAX_EM_WORK = 4_500_000
 
 
@@ -77,10 +76,18 @@ def _farthest_point_seeds(points, k, rng):
 def _log_gaussian_pdf(points, mean, cov):
     d = points.shape[1]
     chol = np.linalg.cholesky(cov)
-    sol = np.linalg.solve(chol, (points - mean).T)
+    # L^-1 (x - mean) through the inverse of the d x d factor, once per call.
+    sol = np.linalg.inv(chol) @ (points - mean).T
     maha = np.sum(sol ** 2, axis=0)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+
+
+def _logsumexp(a):
+    """log(sum(exp(a), axis=0)), shifted by each column's maximum."""
+    top = a.max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    return top + np.log(np.sum(np.exp(a - top), axis=0))
 
 
 def fit_gaussian_mixture(points, k, rng, window=None, noise=False):
@@ -120,19 +127,20 @@ def fit_gaussian_mixture(points, k, rng, window=None, noise=False):
     while it < _MAX_ITER and k > 0:
         it += 1
         # E-step
-        log_resp = np.empty((n, k + (1 if noise else 0)))
+        # One row per component: the reductions run over contiguous rows.
+        log_resp = np.empty((k + (1 if noise else 0), n))
         for j in range(k):
-            log_resp[:, j] = np.log(weights[j]) + _log_gaussian_pdf(
+            log_resp[j] = np.log(weights[j]) + _log_gaussian_pdf(
                 points, means[j], covs[j])
         if noise:
-            log_resp[:, k] = np.log(max(noise_weight, 1e-300)) + log_noise_density
-        log_total = logsumexp(log_resp, axis=1)
+            log_resp[k] = np.log(max(noise_weight, 1e-300)) + log_noise_density
+        log_total = _logsumexp(log_resp)
         ll = float(np.sum(log_total))
         trace.append(ll)
-        resp = np.exp(log_resp - log_total[:, None])
+        resp = np.exp(log_resp - log_total)
 
         # M-step
-        mass = resp[:, :k].sum(axis=0)
+        mass = resp[:k].sum(axis=1)
         empty = mass < 1e-8
         if empty.any():
             if not reseeded:
@@ -155,12 +163,12 @@ def fit_gaussian_mixture(points, k, rng, window=None, noise=False):
             prev_ll = -np.inf
             continue
         for j in range(k):
-            r = resp[:, j]
+            r = resp[j]
             means[j] = r @ points / mass[j]
             diff = points - means[j]
             covs[j] = (r[:, None] * diff).T @ diff / mass[j] + ridge
         if noise:
-            noise_weight = float(resp[:, k].mean())
+            noise_weight = float(resp[k].mean())
         weights = mass / n
 
         if ll - prev_ll < _TOL * n and np.isfinite(prev_ll):

@@ -409,7 +409,7 @@ def read_pattern(stream, window):
     if isinstance(stream, (str, bytes)):
         stream = io.StringIO(stream.decode() if isinstance(stream, bytes) else stream)
     text = stream.read()
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(csv.reader(io.StringIO(text)))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -445,6 +445,15 @@ def read_pattern(stream, window):
             labels.append(row[d])
     pts = np.asarray(points, dtype=float).reshape(-1, d)
     return PointPattern(pts, window, labels=labels)
+
+
+def _csv_rows(reader):
+    """The rows of a csv reader, whose own errors (a field over csv's size
+    limit, say) become ParseErrors at the reader's physical line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num)
 
 
 def _plain_rows(body, d):

@@ -151,6 +151,21 @@ class TestFit:
         assert code == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line", [
+        ("x,cluster\n0,a\n1,%s\n" % ("a" * 200_000), 3),
+        ("x,%s\n0\n" % ("c" * 200_000), 1),
+    ])
+    def test_field_over_csv_limit_is_parse_error(self, tmp_path, capsys, text,
+                                                 line):
+        # csv's field size limit is 131,072 characters.
+        pat = tmp_path / "long.csv"
+        pat.write_text(text)
+        code = main(["fit", "--in", str(pat), "--window=-5:5",
+                     "--method", "cluster-sizes"])
+        assert code == EXIT_USAGE
+        assert "error: line %d: field larger than field limit" % line \
+            in capsys.readouterr().err
+
     def test_pgf_with_every_ball_empty_numeric_exit(self, tmp_path, capsys):
         # One point in a corner leaves all 400 unit balls empty: g(z) = 1.
         pat = tmp_path / "corner.csv"
@@ -159,6 +174,14 @@ class TestFit:
                      "--method", "pgf", "--mu0", "gauss:2:1"])
         assert code == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
+
+    def test_pgf_on_empty_pattern_numeric_exit(self, tmp_path, capsys):
+        pat = tmp_path / "empty.csv"
+        pat.write_text("x,y\n")
+        code = main(["fit", "--in", str(pat), "--window=-25:25,-25:25",
+                     "--method", "pgf", "--mu0", "gauss:2:1"])
+        assert code == EXIT_NUMERIC
+        assert "need at least 2 points" in capsys.readouterr().err
 
 
 class TestGcurve:
@@ -234,19 +257,22 @@ class TestReplicate:
 
 
 def test_pgf_fit_imports_neither_scipy_stats_nor_integrate(tmp_path):
-    # Nor scipy.optimize: after the imports, a p.g.f. fit and a direct-ls
+    # Nor scipy.optimize, nor scipy.spatial until a k-NN profile needs it:
+    # after the imports, a simulation, a p.g.f. fit and a direct-ls
     # void-thinned fit.
     pat = tmp_path / "pat.csv"
-    assert main(["simulate", "--alpha", "0.7", "--lambda", "0.1",
-                 "--mu0", "gauss:2:1", "--window=-10:10,-10:10",
-                 "--seed", "3", "--out", str(pat)]) == EXIT_OK
     script = "\n".join([
         "import sys",
         "def loaded():",
         "    return [m for m in ('scipy.stats', 'scipy.integrate',",
-        "                        'scipy.optimize') if m in sys.modules]",
+        "                        'scipy.optimize', 'scipy.spatial')",
+        "            if m in sys.modules]",
         "import tasproc, tasproc.cli",
         "print(loaded())",
+        "code = tasproc.cli.main(['simulate', '--alpha', '0.7', '--lambda', "
+        "'0.1', '--mu0', 'gauss:2:1', '--window=-10:10,-10:10', '--seed', "
+        "'3', '--out', sys.argv[1]])",
+        "print(code, loaded())",
         "code = tasproc.cli.main(['fit', '--in', sys.argv[1], '--method', "
         "'pgf', '--mu0', 'gauss:2:1', '--out', sys.argv[1] + '.fit.json'])",
         "print(code, loaded())",
@@ -261,8 +287,9 @@ def test_pgf_fit_imports_neither_scipy_stats_nor_integrate(tmp_path):
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     lines = [line for line in proc.stdout.splitlines()
-             if not line.startswith("alpha_hat")]
-    assert lines == ["[]", "%d []" % EXIT_OK, "%d []" % EXIT_OK]
+             if not line.startswith(("wrote", "alpha_hat"))]
+    assert lines == ["[]", "%d []" % EXIT_OK, "%d []" % EXIT_OK,
+                     "%d ['scipy.spatial']" % EXIT_OK]
 
 
 def test_em_over_work_budget_is_usage_error(tmp_path, capsys):

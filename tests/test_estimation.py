@@ -1,11 +1,13 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
+from scipy.spatial import cKDTree
 
 from tasproc import (
     DegenerateDataError,
@@ -35,8 +37,12 @@ from tasproc import (
     thinned_contact_closed_form,
     thinned_contact_estimate,
 )
+from tasproc import estimation
+from tasproc.estimation import _ball_counts
 from tasproc.experiments import (
     DEFAULT_P_VALUES,
+    FIG3_PARAMS,
+    FIG3_WINDOW,
     HARNESS_N_MAX,
     TABLE1_CELLS,
     TABLE1_WINDOW,
@@ -398,6 +404,63 @@ class TestBallCountPgf:
         assert ball_count_pgf(counts, [1.0])[0] == 1.0
 
 
+@st.composite
+def ball_count_cases(draw):
+    """Points on a coarse lattice (ties at distance exactly r, duplicates)
+    or anywhere in [-4, 4]^d, centres reaching outside the points' box, and
+    radii from 0 to far below and far above the extent."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 40))
+    m = draw(st.integers(1, 12))
+    coord = st.one_of(st.integers(-4, 4).map(float),
+                      st.floats(-4.0, 4.0, allow_subnormal=False))
+    points = np.reshape(draw(st.lists(coord, min_size=n * d,
+                                      max_size=n * d)), (n, d))
+    centres = np.reshape(draw(st.lists(st.integers(-9, 9).map(float),
+                                       min_size=m * d, max_size=m * d)),
+                         (m, d))
+    scale = 2.0 ** draw(st.integers(-3, 3))
+    radius = draw(st.one_of(st.integers(0, 6).map(float),
+                            st.floats(0.0, 20.0),
+                            st.sampled_from([1e-12, 1e-7, 1e7, 1e12])))
+    return points * scale, centres * scale, radius * scale
+
+
+class TestBallCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(ball_count_cases(), st.sampled_from([1, 5, 64, 1 << 20]))
+    def test_matches_brute_force(self, case, block):
+        # Small blocks split segments across blocks.
+        points, centres, radius = case
+        d2 = np.sum((points[None, :, :] - centres[:, None, :]) ** 2, axis=2)
+        brute = np.count_nonzero(d2 <= radius * radius, axis=1)
+        with mock.patch.object(estimation, "_BALL_BLOCK", block):
+            counts = _ball_counts(points, centres, radius)
+        assert np.array_equal(counts, brute)
+
+    def test_lattice_ties_and_duplicates(self):
+        # Every lattice neighbour at distance exactly 1 counts, twice over.
+        grid = np.stack(np.meshgrid(*[np.arange(-3.0, 4.0)] * 2), -1)
+        points = np.concatenate([grid.reshape(-1, 2)] * 2)
+        counts = _ball_counts(points, np.array([[0.0, 0.0], [-3.0, 3.0],
+                                                [5.0, 0.0]]), 1.0)
+        assert counts.tolist() == [10, 6, 0]
+
+    def test_empty_pattern_counts_zero(self):
+        centres = np.zeros((5, 2))
+        assert _ball_counts(np.zeros((0, 2)), centres, 1.0).tolist() == [0] * 5
+
+    def test_matches_kdtree_on_fig3_patterns(self):
+        test_points = grid_test_points(FIG3_WINDOW.erode(1.0), 400)
+        for stream in range(12):
+            pattern = simulate_tas(FIG3_PARAMS, FIG3_WINDOW,
+                                   RandomSource(5, stream), n_max=HARNESS_N_MAX)
+            kd = cKDTree(pattern.points).query_ball_point(
+                test_points, r=1.0, return_length=True)
+            assert np.array_equal(
+                _ball_counts(pattern.points, test_points, 1.0), kd)
+
+
 class TestFitCountPgf:
     mu0 = UniformInterval(1.0)
 
@@ -424,6 +487,19 @@ class TestFitCountPgf:
         fit = fit_count_pgf(pattern, 2.0, np.arange(0.1, 0.95, 0.1), self.mu0)
         assert fit.alpha_hat > 0.9
         assert fit.lambda_hat == pytest.approx(0.2, rel=0.25)
+
+    def test_empty_pattern_is_degenerate(self):
+        pattern = PointPattern(np.zeros((0, 2)), Window([-5, -5], [5, 5]))
+        with pytest.raises(DegenerateDataError):
+            fit_count_pgf(pattern, 1.0, np.arange(0.1, 0.95, 0.1),
+                          IsotropicGaussian(2, 1.0))
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_radius_must_be_positive(self, radius):
+        # Refused before any ball is counted.
+        with pytest.raises(ValidationError, match="radius must be > 0"):
+            fit_count_pgf(pattern_1d([0.0, 1.0]), radius, [0.2, 0.5],
+                          self.mu0)
 
     def test_z_grid_validation(self):
         pattern = pattern_1d([0.0, 1.0])

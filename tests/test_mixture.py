@@ -114,3 +114,30 @@ class TestEmEstimateMu0:
         back = json.loads(blob)
         assert len(back["components"]) == 2
         assert back["converged"] == model.converged
+
+
+class TestNumpyKernels:
+    """The numpy E-step kernels against scipy's, which sum in another order:
+    equal to a few units in the last place."""
+
+    def test_log_gaussian_pdf_matches_scipy(self):
+        from scipy.stats import multivariate_normal
+
+        gen = np.random.default_rng(21)
+        for d in (1, 2, 3):
+            a = gen.normal(size=(d, d))
+            cov = a @ a.T + 0.1 * np.eye(d)
+            mean = gen.normal(size=d)
+            pts = gen.normal(size=(500, d)) * 3.0
+            got = mixture._log_gaussian_pdf(pts, mean, cov)
+            want = multivariate_normal(mean, cov).logpdf(pts)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_logsumexp_matches_scipy(self):
+        from scipy.special import logsumexp
+
+        gen = np.random.default_rng(22)
+        a = gen.normal(size=(4, 1000)) * 300.0
+        a[:, :3] += np.array([-1e4, 0.0, 1e4])
+        assert np.allclose(mixture._logsumexp(a), logsumexp(a, axis=0),
+                           rtol=1e-14, atol=1e-12)
