@@ -8,6 +8,9 @@ radii: the uniform-interval mu0 has a closed form; the Gaussian case is done
 by radial quadrature over ball masses tabulated once; empirical clouds use
 exact event-point decomposition in 1-D and Monte Carlo over in-ball counts
 drawn once above.
+
+scipy.special is imported inside the functions that call it, so that
+`import tasproc` loads no scipy module.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtr, gammaln, ive, poch, roots_legendre
 
 from .model import (
     ContactCurve,
@@ -49,6 +51,7 @@ def _log_survival(n, alpha):
     The Pochhammer ratio keeps -alpha log n exact for large n, where a
     difference of two gammaln values of order n log n cancels.
     """
+    from scipy.special import gammaln, poch
     return np.log(poch(n + 1.0, -alpha)) - gammaln(1.0 - alpha)
 
 
@@ -182,7 +185,8 @@ def coverage_values(mu0, radii, alpha):
 def _gauss_legendre(n, lo, hi):
     """Nodes and weights of the n-point Gauss-Legendre rule on each panel
     [lo, hi]; a new last axis runs over the nodes."""
-    x, w = roots_legendre(n)
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(n)
     half = 0.5 * (hi - lo)[..., None]
     return lo[..., None] + half * (1.0 + x), half * w
 
@@ -228,6 +232,7 @@ def _gaussian_log_mass(u, rho, d):
     drifts (relative error 1e-5 at 4e-48 for d = 3) and underflows to 0, so
     masses under 1e-30 come from the Bessel form instead.
     """
+    from scipy.special import chndtr
     u, rho = np.broadcast_arrays(u, rho)
     mass = chndtr(rho * rho, d, u * u)
     far = mass < 1e-30
@@ -244,6 +249,7 @@ def _gaussian_log_mass_bessel(u, rho, d):
     With y = rho - t the rest of the integrand carries e^{-y (u-rho) - y^2/2};
     y runs to where that exponent reaches -50, on panels graded towards 0.
     """
+    from scipy.special import ive
     nu = 0.5 * d - 1.0
     gap = u - rho
     y_max = np.minimum(rho, 100.0 / (np.sqrt(gap * gap + 100.0) + gap))
@@ -257,6 +263,7 @@ def _gaussian_log_mass_bessel(u, rho, d):
 
 
 def _sphere_surface(d):
+    from scipy.special import gammaln
     return 2.0 * np.pi ** (d / 2.0) / np.exp(gammaln(d / 2.0))
 
 

@@ -165,6 +165,11 @@ def cmd_fit(args):
 
 def cmd_gcurve(args):
     pattern = _load_pattern(args)
+    params = None
+    if args.mu0 and args.alpha is not None and args.lam is not None:
+        params = TasParameters(args.alpha, args.lam, parse_mu0(args.mu0))
+        if params.mu0.dimension != pattern.dimension:
+            raise ValidationError("mu0 dimension does not match the pattern")
     rng = RandomSource(args.seed, args.stream)
     test_points = parse_test_points(args.test_points, pattern.window, rng)
     profile = estimation.distance_profile(pattern, test_points, depth=1)
@@ -174,8 +179,7 @@ def cmd_gcurve(args):
     with open(args.out, "w") as fh:
         empirical.to_csv(fh)
     print("wrote empirical curve (%d radii) to %s" % (len(radii), args.out))
-    if args.mu0 and args.alpha is not None and args.lam is not None:
-        params = TasParameters(args.alpha, args.lam, parse_mu0(args.mu0))
+    if params is not None:
         analytic = analytic_contact(params, radii)
         path = args.out + ".analytic.csv"
         with open(path, "w") as fh:

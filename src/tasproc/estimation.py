@@ -161,9 +161,11 @@ def _ball_counts(points, centres, radius):
     lo = points.min(axis=0)
     extent = float(np.max(points.max(axis=0) - lo))
     # The 2^-20 margin keeps any pair the distance test accepts within one
-    # cell per axis despite rounding in the cell coordinates.
+    # cell per axis despite rounding in the cell coordinates.  The floor of
+    # 2^-500 (about 3e-151) covers squares that underflow: whatever the
+    # radius, the test accepts offsets up to about 1.5e-154.
     side = max(radius * (1.0 + 2.0 ** -20),
-               extent / 2.0 ** min(20, 60 // d)) or 1.0
+               extent / 2.0 ** min(20, 60 // d), 2.0 ** -500)
     key = np.zeros(points.shape[0], dtype=np.int64)
     shape, centre_cells = [], []
     for k in range(d):
@@ -392,8 +394,12 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None):
     entry of `p_values`, default p=1 only) or a mapping p -> ContactCurve.
     The model value at (r, p) is exp(-lambda p^alpha I(r; alpha)), fitted
     with `objective` "direct-ls" or "log-profiled-ls" as in `_fit_ls`.  Fewer
-    than 2 points with 0 < G_hat < 1 raise DegenerateDataError.
+    than 2 points with 0 < G_hat < 1 raise DegenerateDataError, and a profile
+    whose test points are not of mu0's dimension raises ValidationError.
     """
+    if (isinstance(data, DistanceProfile)
+            and mu0.dimension != data.test_points.shape[1]):
+        raise ValidationError("mu0 dimension does not match the test points")
     curves = _collect_curves(data, p_values, radii)
     # The leading empty array lets a map without curves reach the
     # degenerate-data rule.
@@ -434,6 +440,8 @@ def fit_count_pgf(pattern, radius, z_grid, mu0):
         raise ValidationError("z grid must lie strictly inside (0, 1)")
     if not radius > 0:
         raise ValidationError("radius must be > 0")
+    if mu0.dimension != pattern.dimension:
+        raise ValidationError("mu0 dimension does not match the pattern")
     test_points = pattern.window.erode(radius).grid_points(_N_TEST_POINTS)
     counts = _ball_counts(pattern.points, test_points, radius)
     ghat = ball_count_pgf(counts, z)

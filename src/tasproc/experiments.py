@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +94,7 @@ def _void_replicate(args):
 
 def _run_map(worker, jobs_args, jobs):
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, jobs_args))
     return [worker(a) for a in jobs_args]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .analytics import _log_survival
 from .model import PointPattern, ValidationError
@@ -66,6 +65,7 @@ def _survival_table(alpha):
 @np.errstate(over="ignore", divide="ignore")
 def _invert_tail(alpha, u, n0):
     """Smallest n > n0 with survival(n) < u, for u <= survival(n0)."""
+    from scipy.special import gammaln
     logu = np.log(u)
     # survival(n) ~ n^-alpha / Gamma(1-alpha): first-order bracket, then grow.
     approx = np.exp(-(logu + gammaln(1.0 - alpha)) / alpha)

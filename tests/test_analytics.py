@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tasproc import (
     sibuya_survival,
     thinned_contact_analytic,
 )
-from tasproc.analytics import _empirical_pieces_1d
+from tasproc.analytics import _empirical_pieces_1d, _gauss_legendre
 
 
 def _gaussian_ball_mass(s, r, sigma, d):
@@ -125,6 +126,20 @@ class TestCoverageIntegral:
 
         b, _ = integrate.quad(integrand, 0.0, 40.0, epsabs=1e-13, limit=500)
         assert a == pytest.approx(2 * np.pi * b, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_gauss_legendre_rule_exact_on_polynomials(self, n):
+        # The n-point rule integrates x^k, k <= 2n - 1, exactly: the error
+        # stays within a few ulps per power of the sum of |w x^k|.
+        eps = np.finfo(float).eps
+        for lo, hi in [(-1.0, 1.0), (0.5, 2.25), (-3.0, -0.25)]:
+            x, w = _gauss_legendre(n, np.array(lo), np.array(hi))
+            for k in range(2 * n):
+                exact = float((Fraction(hi) ** (k + 1) - Fraction(lo) ** (k + 1))
+                              / (k + 1))
+                terms = w * x ** k
+                assert (abs(np.sum(terms) - exact)
+                        <= 6 * (k + 1) * eps * np.sum(np.abs(terms)))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])

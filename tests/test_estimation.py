@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.spatial import cKDTree
@@ -244,6 +244,16 @@ class TestFitVoid:
         assert fit.alpha_hat == pytest.approx(0.8, abs=1e-6)
         assert fit.lambda_hat == pytest.approx(0.4, abs=1e-6)
 
+    @pytest.mark.parametrize("mu0", [UniformInterval(1.0),
+                                     IsotropicGaussian(3, 1.0)])
+    def test_mu0_dimension_must_match_profile(self, mu0):
+        window = Window([-5, -5], [5, 5])
+        pattern = PointPattern(
+            np.random.default_rng(2).uniform(-5, 5, (50, 2)), window)
+        profile = distance_profile(pattern, grid_test_points(window, 50))
+        with pytest.raises(ValidationError, match="mu0 dimension"):
+            fit_void(profile, mu0)
+
     @pytest.mark.parametrize("mu0, radii", [
         (IsotropicGaussian(2, 1.0), np.linspace(0.3, 4.0, 10)),
         (EmpiricalCloud(np.random.default_rng(4).uniform(-1, 1, (30, 1))),
@@ -429,6 +439,12 @@ def ball_count_cases(draw):
 class TestBallCounts:
     @settings(max_examples=300, deadline=None)
     @given(ball_count_cases(), st.sampled_from([1, 5, 64, 1 << 20]))
+    # Squares that underflow to 0 put a point at distance 2e-256 inside the
+    # ball of radius 0, and one at 3e-170 inside the ball of radius 1e-180.
+    @example((np.array([[0.0], [1.98676368e-256]]), np.array([[0.0]]), 0.0),
+             1 << 20)
+    @example((np.array([[0.0, 0.0], [1e-200, 0.0], [3e-170, 0.0]]),
+              np.array([[0.0, 0.0]]), 1e-180), 1 << 20)
     def test_matches_brute_force(self, case, block):
         # Small blocks split segments across blocks.
         points, centres, radius = case
@@ -493,6 +509,15 @@ class TestFitCountPgf:
         with pytest.raises(DegenerateDataError):
             fit_count_pgf(pattern, 1.0, np.arange(0.1, 0.95, 0.1),
                           IsotropicGaussian(2, 1.0))
+
+    @pytest.mark.parametrize("mu0", [UniformInterval(1.0),
+                                     IsotropicGaussian(3, 1.0)])
+    def test_mu0_dimension_must_match_pattern(self, mu0):
+        pattern = PointPattern(
+            np.random.default_rng(2).uniform(-5, 5, (50, 2)),
+            Window([-5, -5], [5, 5]))
+        with pytest.raises(ValidationError, match="mu0 dimension"):
+            fit_count_pgf(pattern, 1.0, [0.2, 0.5], mu0)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
     def test_radius_must_be_positive(self, radius):
