@@ -272,8 +272,9 @@ def _thinned_values(freq, p, exact):
             stacklevel=3,
         )
     # Frequencies times weights keep p = 1 and N = K exact, and the tail
-    # weight is the bound (1-p)^K bit for bit.
-    return freq @ _powers(1.0 - p, range(k + 1))
+    # weight is the bound (1-p)^K bit for bit.  The rounded frequencies of a
+    # row can sum an ulp past 1, which weights near 1 (tiny p) carry through.
+    return np.minimum(freq @ _powers(1.0 - p, range(k + 1)), 1.0)
 
 
 def thinned_contact_closed_form(profile, p, radii):

@@ -182,6 +182,15 @@ class TestCountTransformProperties:
         b = thinned_contact_closed_form(profile, p, radii)
         assert np.max(np.abs(a.values - b.values)) <= 1e-12
 
+    def test_tiny_retention_stays_in_unit_interval(self):
+        # Count frequencies 0.1 + 0.2 + 0.4 + 0.3 round to one ulp above 1,
+        # and at p = 5e-324 every weight (1-p)^N is 1.
+        zeros = [6, 6, 6, 5, 5, 5, 5, 4, 4, 3]
+        dist = np.array([[0.0] * z + [0.25] * (6 - z) for z in zeros])
+        profile = DistanceProfile(np.zeros((10, 1)), dist)
+        curve = thinned_contact_estimate(profile, 5e-324, [0.0, 1.0])
+        assert np.array_equal(curve.values, [1.0, 1.0])
+
     @settings(max_examples=200, deadline=None)
     @given(tied_profiles_and_radii())
     def test_p_one_bit_identical_to_empirical(self, case):
