@@ -5,16 +5,18 @@ The coverage integral I(r; alpha) = int mu0(B_r - x)^alpha dx is the
 geometry term of the void probability G(r) = exp(-lambda I(r; alpha)).
 `prepare_coverage` does its alpha-independent work once per mu0 and set of
 radii: the uniform-interval mu0 has a closed form; the Gaussian case is done
-by radial quadrature over ball masses tabulated once; empirical clouds use
-exact event-point decomposition in 1-D and Monte Carlo over in-ball counts
-drawn once above.
+by radial quadrature over ball masses tabulated once, each a numpy
+Poisson-mixture series; empirical clouds use exact event-point decomposition
+in 1-D and Monte Carlo over in-ball counts drawn once above.
 
-scipy.special is imported inside the functions that call it, so that
-`import tasproc` loads no scipy module.
+scipy.special serves only the Sibuya tail (`_log_survival`) and is imported
+inside it, so that `import tasproc` and the coverage integrals load no scipy
+module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +117,8 @@ class PreparedCoverage:
     `values(alpha)` the values alone, and `values_and_derivatives(alpha)` the
     values with their exact alpha-derivatives dI/dalpha, from the same
     tables (computed only when asked); alpha must lie in [alpha_min, 1].  A
-    quadrature whose bound exceeds max(1e-6, 1e-6 |I|) raises ArithmeticError.
+    value or bound that is not finite, or a quadrature whose bound exceeds
+    max(1e-6, 1e-6 |I|), raises ArithmeticError.
     """
 
     def __init__(self, method, alpha_min, evaluate):
@@ -130,6 +133,9 @@ class PreparedCoverage:
             raise ValidationError("alpha must lie in [%g, 1], the range the "
                                   "coverage was prepared for" % self.alpha_min)
         values, bounds, derivatives = self._evaluate(alpha)
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(bounds))):
+            raise ArithmeticError("coverage integral is not finite: %s"
+                                  % values)
         if self.method == "quadrature" and np.any(
                 bounds > np.maximum(1e-6, 1e-6 * np.abs(values))):
             raise ArithmeticError(
@@ -207,10 +213,13 @@ def _prepare_uniform(mu0, radii, alpha_min):
     log_m = np.log(m / h)
 
     def closed_form(alpha):
-        plateau = 2.0 * np.abs(h - radii) * np.where(radii <= h,
-                                                     (radii / h) ** alpha, 1.0)
-        ramps = 2.0 * (2.0 * m) * (m / h) ** alpha / (alpha + 1.0)
-        values = plateau + ramps
+        # A halfwidth near the float maximum overflows to inf, which
+        # PreparedCoverage rejects.
+        with np.errstate(over="ignore"):
+            plateau = 2.0 * np.abs(h - radii) * np.where(
+                radii <= h, (radii / h) ** alpha, 1.0)
+            ramps = 2.0 * (2.0 * m) * (m / h) ** alpha / (alpha + 1.0)
+            values = plateau + ramps
         return (values, np.zeros(radii.size),
                 lambda: values * log_m - ramps / (alpha + 1.0))
     return "closed-form", closed_form
@@ -221,50 +230,133 @@ def _prepare_uniform(mu0, radii, alpha_min):
 # Gauss-Legendre nodes per panel of the radial rule; the error bound compares
 # it with the rule of twice as many nodes on the same panels.
 _RADIAL_NODES = 8
-# Panels in y of the Bessel-form mass, as fractions of the y range.
-_BESSEL_PANELS = np.array([0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
+# Bounds on the ball-mass series: the elements of one term array, and the j
+# grid of one radius.
+_MAX_TERMS = 2 ** 20
+_MAX_GRID = 2 ** 22
+# stirlerr(k) = log Gamma(k+1) - (k + 1/2) log k + k - log(2 pi)/2 at
+# k = 0, 1/2, 1, ..., 15 (0 at k = 0), from mpmath at 40 digits:
+#   [mp.loggamma(k + 1) - (k + 0.5) * mp.log(k) + k - mp.log(2 * mp.pi) / 2
+#    for k in (mp.mpf(i) / 2 for i in range(1, 31))]
+_STIRLERR_HALVES = np.array([
+    0.0, 0.15342640972002736, 0.08106146679532726,
+    0.05481412105191765, 0.0413406959554093, 0.03316287351993629,
+    0.02767792568499834, 0.023746163656297496, 0.020790672103765093,
+    0.018488450532673187, 0.016644691189821193, 0.015134973221917378,
+    0.013876128823070748, 0.012810465242920227, 0.01189670994589177,
+    0.011104559758206917, 0.010411265261972096, 0.009799416126158804,
+    0.009255462182712733, 0.008768700134139386, 0.00833056343336287,
+    0.00793411456431402, 0.007573675487951841, 0.007244554301320383,
+    0.00694284010720953, 0.006665247032707682, 0.006408994188004207,
+    0.006171712263039458, 0.0059513701127588475, 0.0057462165130101155,
+    0.005554733551962801,
+])
 
 
-def _gaussian_log_mass(u, rho, d):
-    """log M(u) for M(u) = P(|X - u e| <= rho), X ~ N(0, I_d), elementwise.
+def _stirling(k):
+    """log Gamma(k+1) - k log k + k = stirlerr(k) + log(2 pi k)/2, and 0 at
+    k = 0; stirlerr comes from its asymptotic series above 15 and from the
+    table for the multiples of 1/2 up to 15."""
+    big = np.maximum(k, 15.5)
+    w = 1.0 / (big * big)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - w / 1188) * w)
+                        * w) * w) / big
+    table = _STIRLERR_HALVES[np.minimum(np.rint(2.0 * k), 30).astype(int)]
+    return np.where(k > 0.0, np.where(k > 15.0, series, table) + 0.5 * np.log(
+        2.0 * np.pi * np.maximum(k, 0.5)), 0.0)
 
-    chndtr matches the exact mass to 1e-13 relative down to about 1e-45, then
-    drifts (relative error 1e-5 at 4e-48 for d = 3) and underflows to 0, so
-    masses under 1e-30 come from the Bessel form instead.
+
+def _bd0(k, m):
+    """k log(k/m) + m - k, k >= 0, m > 0, elementwise over broadcast arrays.
+
+    Where |v| < 0.1, v = (k-m)/(k+m), it is summed as the series
+    (k-m) v + 2k sum_i v^(2i+1)/(2i+1), which keeps full relative precision
+    near k = m.
     """
-    from scipy.special import chndtr
-    u, rho = np.broadcast_arrays(u, rho)
-    mass = chndtr(rho * rho, d, u * u)
-    far = mass < 1e-30
-    out = np.log(np.where(far, 1.0, mass))
-    out[far] = _gaussian_log_mass_bessel(u[far], rho[far], d)
+    v = (k - m) / (k + m)
+    w = v * v
+    poly = 1.0 / 19.0
+    for i in range(8, 0, -1):
+        poly = poly * w + 1.0 / (2 * i + 1)
+    out = (k - m) * v + 2.0 * k * v * w * poly
+    far = np.abs(v) >= 0.1
+    if np.any(far):
+        k, m = (np.broadcast_to(x, out.shape)[far] for x in (k, m))
+        out[far] = k * np.log(np.maximum(k, 1e-300) / m) + (m - k)
     return out
 
 
-def _gaussian_log_mass_bessel(u, rho, d):
-    """log M(u) from M(u) = int_0^rho t (t/u)^nu ive(nu, t u) e^{-(u-t)^2/2} dt,
-    nu = d/2 - 1, with e^{-(u-rho)^2/2} taken out so that M may lie far below
-    the smallest double.
+def _window(peak):
+    """Half-width in j of the terms of the mass series kept around a peak."""
+    return np.ceil(12.0 * np.sqrt(peak + 1.0) + 12.0)
 
-    With y = rho - t the rest of the integrand carries e^{-y (u-rho) - y^2/2};
-    y runs to where that exponent reaches -50, on panels graded towards 0.
+
+def _gaussian_log_mass(u, rho, d):
+    """log M(u) for M(u) = P(|X - u e| <= rho), X ~ N(0, I_d), over an
+    array u >= 0 and one rho > 0.
+
+    With lam = u^2/2, y = rho^2/2 and a = d/2, M is the Poisson mixture
+    sum_j pois(j; lam) P(a + j, y) of central chi-square CDFs, and
+    P(a + j, y) = sum_{n >= j} pois(a + n; y), pois(k; m) = m^k e^-m / k!.
+    Every term is positive and is summed in logs, so M may lie far below the
+    smallest double.  log P is built once on a j grid; the terms are
+    log-concave in j and each u sums only those within `_window` of its
+    peak, which lies at or below min(lam, sqrt(lam y)).  Centres deeper than
+    sqrt(d) + 40 inside the ball have 1 - M < e^-800 and get log M = 0.
     """
-    from scipy.special import ive
-    nu = 0.5 * d - 1.0
-    gap = u - rho
-    y_max = np.minimum(rho, 100.0 / (np.sqrt(gap * gap + 100.0) + gap))
-    y, w = _gauss_legendre(10, y_max[:, None] * _BESSEL_PANELS[:-1],
-                           y_max[:, None] * _BESSEL_PANELS[1:])
-    t = rho[:, None, None] - y
-    uu = u[:, None, None]
-    f = t * np.exp(nu * np.log(t / uu) - y * gap[:, None, None] - 0.5 * y * y)
-    f *= ive(nu, t * uu)
-    return -0.5 * gap * gap + np.log(np.sum(w * f, axis=(1, 2)))
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape)
+    active = u > rho - np.sqrt(d) - 40.0
+    if not np.any(active):
+        return out
+    # At u = 0 only the j = 0 term is left; the floor keeps its logs finite.
+    lam = np.maximum(0.5 * u[active] ** 2, 1e-300)
+    y, a = 0.5 * rho * rho, 0.5 * d
+    if y < 1e-300:
+        raise ArithmeticError("Gaussian ball mass series is out of range at "
+                              "r/sigma = %g" % rho)
+    peak_hi = np.minimum(lam, np.sqrt(lam * y))
+    low = peak_hi.min() - a
+    j_lo = max(0.0, np.floor(low - 2.0 * _window(max(low, 0.0))))
+    j_hi = np.ceil(peak_hi.max() + _window(peak_hi.max())) + 1.0
+    top = max(j_hi, np.ceil(y)) + np.ceil(40.0 * np.sqrt(y + 1.0)) + 60.0
+    if top - j_lo >= _MAX_GRID:
+        raise ArithmeticError(
+            "Gaussian ball mass needs a series of %d terms at r/sigma = %g, "
+            "over the limit of %d" % (top - j_lo + 1, rho, _MAX_GRID))
+    n = np.arange(j_lo, top + 1.0)
+    # log pois(k; m) = -_stirling(k) - _bd0(k, m), Loader's form.
+    log_pois = -_stirling(a + n) - _bd0(a + n, y)
+    log_p = np.logaddexp.accumulate(log_pois[::-1])[::-1]
+    j = n[:int(j_hi - j_lo) + 1]
+    log_p = log_p[:j.size]
+    slope = np.log(j[1:]) - np.diff(log_p)
+    peaks = j[np.searchsorted(slope, np.log(lam))]
+    half = _window(peaks.max())
+    if j_lo > 0.0 and np.any(peaks - _window(peaks) < j_lo):
+        raise ArithmeticError("Gaussian ball mass series lost its peak at "
+                              "r/sigma = %g" % rho)
+    base = log_p - _stirling(j)
+    offsets = np.arange(-half, half + 1.0)
+    chunk = max(1, _MAX_TERMS // offsets.size)
+    log_mass = np.empty(lam.size)
+    for start in range(0, lam.size, chunk):
+        jj = peaks[start:start + chunk, None] + offsets
+        index = (jj - j_lo).astype(int)
+        inside = (index >= 0) & (index < j.size)
+        index = np.clip(index, 0, j.size - 1)
+        terms = base[index] - _bd0(np.maximum(jj, 0.0),
+                                   lam[start:start + chunk, None])
+        terms[~inside] = -np.inf
+        top_term = terms.max(axis=1)
+        log_mass[start:start + chunk] = top_term + np.log(
+            np.sum(np.exp(terms - top_term[:, None]), axis=1))
+    out[active] = log_mass
+    return out
 
 
 def _sphere_surface(d):
-    from scipy.special import gammaln
-    return 2.0 * np.pi ** (d / 2.0) / np.exp(gammaln(d / 2.0))
+    return 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def _prepare_gaussian(mu0, radii, alpha_min):
@@ -288,8 +380,12 @@ def _prepare_gaussian(mu0, radii, alpha_min):
     for n in (_RADIAL_NODES, 2 * _RADIAL_NODES):
         u, w = _gauss_legendre(n, breaks[:, :-1], breaks[:, 1:])
         u, w = u.reshape(rho.size, -1), w.reshape(rho.size, -1)
-        rules.append((_gaussian_log_mass(u, rho, d), scale * w * u ** (d - 1)))
-    (log_coarse, w_coarse), (log_fine, w_fine) = rules
+        rules.append((u, scale * w * u ** (d - 1)))
+    (u_coarse, w_coarse), (u_fine, w_fine) = rules
+    # One series grid per radius serves the nodes of both rules.
+    log_mass = np.array([_gaussian_log_mass(np.concatenate(nodes), r, d)
+                         for r, *nodes in zip(rho[:, 0], u_coarse, u_fine)])
+    log_coarse, log_fine = np.hsplit(log_mass, [u_coarse.shape[1]])
     # Rounding allowance: one ulp of the value per node summed.
     ulps = w_fine.shape[1] * np.finfo(float).eps
 

@@ -57,10 +57,12 @@ def parse_mu0(text):
 
 
 def parse_range(text):
-    """lo:hi:step -> inclusive grid; needs step > 0 and hi >= lo."""
+    """lo:hi:step -> inclusive grid; needs finite bounds, step > 0 and
+    hi >= lo."""
     lo, hi, step = (float(v) for v in text.split(":"))
-    if not (step > 0.0 and hi >= lo):
-        raise ValidationError("range %r needs step > 0 and hi >= lo" % (text,))
+    if not (0.0 < step < np.inf and -np.inf < lo <= hi < np.inf):
+        raise ValidationError("range %r needs finite bounds, step > 0 and "
+                              "hi >= lo" % (text,))
     n = int(round((hi - lo) / step)) + 1
     return np.round(lo + step * np.arange(n), 10)
 

@@ -156,8 +156,8 @@ class UniformInterval(ClusterDistribution):
     halfwidth: float
 
     def __post_init__(self):
-        if self.halfwidth <= 0:
-            raise ValidationError("halfwidth must be > 0")
+        if not 0.0 < self.halfwidth < np.inf:
+            raise ValidationError("halfwidth must be finite and > 0")
 
     dimension = 1
 
@@ -179,8 +179,8 @@ class IsotropicGaussian(ClusterDistribution):
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("dimension must be >= 1")
-        if self.sigma <= 0:
-            raise ValidationError("sigma must be > 0")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValidationError("sigma must be finite and > 0")
 
     @property
     def dimension(self):
@@ -241,8 +241,8 @@ class TasParameters:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError("alpha must lie in (0, 1]")
-        if self.lam <= 0:
-            raise ValidationError("lambda must be > 0")
+        if not 0.0 < self.lam < np.inf:
+            raise ValidationError("lambda must be finite and > 0")
 
 
 class PointPattern:

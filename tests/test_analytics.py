@@ -10,6 +10,7 @@ from scipy.special import chdtr, chndtr
 from tasproc import (
     EmpiricalCloud,
     IsotropicGaussian,
+    PreparedCoverage,
     TasParameters,
     UniformInterval,
     ValidationError,
@@ -23,7 +24,12 @@ from tasproc import (
     sibuya_survival,
     thinned_contact_analytic,
 )
-from tasproc.analytics import _empirical_pieces_1d, _gauss_legendre
+from tasproc import analytics
+from tasproc.analytics import (
+    _empirical_pieces_1d,
+    _gauss_legendre,
+    _gaussian_log_mass,
+)
 
 
 def _gaussian_ball_mass(s, r, sigma, d):
@@ -256,6 +262,142 @@ class TestCoverageIntegral:
             coverage_integral(UniformInterval(1.0), 1.0, 1.5)
 
 
+class TestGaussianLogMass:
+    """log M(u), M(u) = P(|X - u e| <= rho) for X ~ N(0, I_d)."""
+
+    # mpmath at 40 digits, by quadrature of the noncentral chi density with
+    # the factor exp(-(u - rho)^2/2) taken out, so that M may underflow:
+    #
+    #   import mpmath as mp
+    #   mp.mp.dps = 40
+    #   def log_mass(u, rho, d):
+    #       u, rho = mp.mpf(u), mp.mpf(rho)
+    #       if u == 0:
+    #           return mp.log(mp.gammainc(mp.mpf(d) / 2, 0, rho * rho / 2,
+    #                                     regularized=True))
+    #       nu = mp.mpf(d) / 2 - 1
+    #       def f(t):
+    #           return (t * (t / u) ** nu * mp.besseli(nu, t * u)
+    #                   * mp.exp((u - rho) ** 2 / 2 - (t * t + u * u) / 2))
+    #       pts = ([0] + [rho * (1 - mp.mpf(2) ** -k) for k in range(1, 40)]
+    #              + [rho])
+    #       return mp.log(mp.quad(f, pts)) - (u - rho) ** 2 / 2
+    #
+    # At d = 1 it matches log(Phi(u + rho) - Phi(u - rho)) to 40 digits.
+    @pytest.mark.parametrize("d, rho, u, reference", [
+        (1, 0.05, 0.0, -3.2219402234264527451),
+        (1, 0.05, 0.025, -3.2222524630965948488),
+        (1, 0.25, 0.25, -1.6530635142555676288),
+        (1, 0.25, 0.75, -1.897905061013982056),
+        (1, 1.0, 3.0, -3.7845774380253265525),
+        (1, 1.0, 9.0, -35.013437172163225932),
+        (1, 4.0, 34.0, -454.32124395634319711),
+        (1, 4.0, 99.0, -4517.9729261974526364),
+        (1, 16.0, 0.0, 0.0),
+        (1, 16.0, 8.0, -6.2209605742717860585e-16),
+        (2, 0.05, 0.05, -6.6864858814766234406),
+        (2, 0.05, 0.55, -6.8363921524961532561),
+        (2, 0.25, 2.25, -5.9734787760047547442),
+        (2, 0.25, 8.25, -37.023247057587910023),
+        (2, 1.0, 31.0, -456.05105754142731416),
+        (2, 1.0, 96.0, -4520.2590814484902791),
+        (2, 4.0, 0.0, -0.00033551890807682017394),
+        (2, 4.0, 2.0, -0.03473104553969277156),
+        (2, 16.0, 16.0, -0.71840970200894398087),
+        (2, 16.0, 16.5, -1.2113944779746061755),
+        (3, 0.05, 2.05, -12.412550091067461832),
+        (3, 0.05, 8.05, -42.697439396756456204),
+        (3, 0.25, 30.25, -459.25979506053278968),
+        (3, 0.25, 95.25, -4523.958733222151078),
+        (3, 1.0, 0.0, -1.6157173715399460002),
+        (3, 1.0, 0.5, -1.7172469911085833422),
+        (3, 4.0, 4.0, -0.91562987553870763723),
+        (3, 4.0, 4.5, -1.4683690008413685598),
+        (3, 16.0, 18.0, -3.9245696965773904966),
+        (3, 16.0, 24.0, -35.426516691318385974),
+        (5, 0.05, 30.05, -469.25618874143296011),
+        (5, 0.05, 95.05, -4533.7635965671433624),
+        (5, 0.25, 0.0, -9.8876126077151180803),
+        (5, 0.25, 0.125, -9.8953554925264202848),
+        (5, 1.0, 1.0, -3.7165951650396108642),
+        (5, 1.0, 1.5, -4.257232731111814582),
+        (5, 4.0, 6.0, -4.8279888615334975205),
+        (5, 4.0, 12.0, -37.293032248809014015),
+        (5, 16.0, 46.0, -456.43886920851587102),
+        (5, 16.0, 111.0, -4521.8486882455664859),
+    ])
+    def test_against_high_precision(self, d, rho, u, reference):
+        value = _gaussian_log_mass(np.array([u]), rho, d)[0]
+        assert abs(value - reference) <= 1e-14 * max(1.0, abs(reference))
+
+    # log(Phi(u + rho) - Phi(u - rho)) from mpmath at 50 digits, as
+    #   mp.log((mp.erfc((u - rho) / mp.sqrt(2))
+    #           - mp.erfc((u + rho) / mp.sqrt(2))) / 2).
+    # scipy's chndtr is no oracle at these radii: at rho = 1000, u = 1009 it
+    # is off by 5e-11 in log M.
+    @pytest.mark.parametrize("rho, u, reference", [
+        (64.0, 32.0, 0.0),
+        (64.0, 59.0, -2.8665161296376359338e-7),
+        (64.0, 64.0, -0.69314718055994530942),
+        (64.0, 65.0, -1.8410216450092635058),
+        (64.0, 73.0, -43.628149113332115497),
+        (64.0, 104.0, -804.60844201375378817),
+        (256.0, 128.0, 0.0),
+        (256.0, 251.0, -2.8665161296376359338e-7),
+        (256.0, 256.0, -0.69314718055994530942),
+        (256.0, 257.0, -1.8410216450092635058),
+        (256.0, 265.0, -43.628149113332115497),
+        (256.0, 296.0, -804.60844201375378817),
+        (1000.0, 500.0, 0.0),
+        (1000.0, 995.0, -2.8665161296376359338e-7),
+        (1000.0, 1000.0, -0.69314718055994530942),
+        (1000.0, 1001.0, -1.8410216450092635058),
+        (1000.0, 1009.0, -43.628149113332115497),
+        (1000.0, 1040.0, -804.60844201375378817),
+    ])
+    def test_large_radius_against_high_precision(self, rho, u, reference):
+        value = _gaussian_log_mass(np.array([u]), rho, 1)[0]
+        assert abs(value - reference) <= 1e-14 * max(1.0, abs(reference))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_chndtr(self, d):
+        # chndtr's own error in M reaches 2.7e-13 near M = 1e-20 (against
+        # mpmath), so the bound is relative to log M.
+        for rho in np.linspace(0.01, 16.0, 40):
+            u = np.linspace(0.0, rho + 15.0, 400)
+            with np.errstate(divide="ignore"):
+                reference = np.log(chndtr(rho * rho, d, u * u))
+            kept = reference >= np.log(1e-30)
+            value = _gaussian_log_mass(u, rho, d)[kept]
+            assert np.all(np.abs(value - reference[kept])
+                          <= 1e-13 * np.maximum(1.0, -reference[kept]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_centre_is_central_chi_square(self, d):
+        for rho in (0.05, 1.0, 4.0, 30.0):
+            value = _gaussian_log_mass(np.zeros(1), rho, d)[0]
+            reference = np.log(chdtr(d, rho * rho))
+            assert abs(value - reference) <= 1e-14 * max(1.0, abs(reference))
+
+    def test_chunks_give_the_same_sums(self, monkeypatch):
+        u = np.linspace(0.0, 80.0, 300)
+        whole = _gaussian_log_mass(u, 30.0, 2)
+        monkeypatch.setattr(analytics, "_MAX_TERMS", 1000)
+        assert np.array_equal(_gaussian_log_mass(u, 30.0, 2), whole)
+
+    def test_large_radius_coverage(self):
+        # The value of the chndtr and Bessel-form mass this series replaced.
+        res = coverage_integral(IsotropicGaussian(2, 1.0), 1e4, 0.5)
+        assert abs(res.value - 314203521.595606) <= res.abs_error_bound
+
+    @pytest.mark.parametrize("sigma, radius", [(1e-5, 1.0), (1.0, 1e-160)])
+    def test_radius_out_of_range_raises(self, sigma, radius):
+        # r/sigma = 1e5 needs a j grid over 2^22 entries; r/sigma = 1e-160
+        # squares below the normal doubles.
+        with pytest.raises(ArithmeticError, match="r/sigma"):
+            coverage_integral(IsotropicGaussian(2, sigma), radius, 0.5)
+
+
 class TestPreparedCoverage:
     radii = [0.3, 1.0, 2.5]
 
@@ -293,6 +435,16 @@ class TestPreparedCoverage:
                        - coverage.values(alpha - h)) / (2.0 * h)
             assert np.all(np.isfinite(derivatives))
             assert derivatives == pytest.approx(central, rel=1e-6)
+
+    def test_non_finite_value_raises(self):
+        # A NaN value passes every comparison with the tolerance.
+        coverage = PreparedCoverage("quadrature", 0.1, lambda alpha: (
+            np.array([np.nan]), np.array([np.nan]), None))
+        with pytest.raises(ArithmeticError, match="not finite"):
+            coverage.values(0.5)
+        # The closed form overflows to inf, with no RuntimeWarning.
+        with pytest.raises(ArithmeticError, match="not finite"):
+            coverage_integral(UniformInterval(1e308), 1.0, 0.5)
 
     def test_alpha_outside_prepared_range_rejected(self):
         coverage = prepare_coverage(IsotropicGaussian(2, 1.0), [1.0],

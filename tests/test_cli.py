@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,14 @@ from tasproc.cli import (
     parse_window,
 )
 from tasproc.model import IsotropicGaussian, UniformInterval, Window
+
+
+def simulate_gauss(tmp_path):
+    pat = tmp_path / "pat.csv"
+    assert main(["simulate", "--alpha", "0.7", "--lambda", "0.1", "--mu0",
+                 "gauss:2:1", "--window=-10:10,-10:10", "--seed", "3",
+                 "--out", str(pat)]) == EXIT_OK
+    return pat
 
 
 def run_simulate(tmp_path, name="pat.csv", seed=5, extra=()):
@@ -132,6 +141,9 @@ class TestFit:
         ("void-thinned", "--p", "0.3:1.0:0"),
         ("pgf", "--z", "0.9:0.1:0.1"),
         ("pgf", "--z", "0.1:0.9:-0.1"),
+        ("pgf", "--z", "0:inf:1"),
+        ("pgf", "--z", "0.1:0.9:inf"),
+        ("void-thinned", "--p", "nan:1.0:0.1"),
     ])
     def test_bad_range_is_usage_error(self, tmp_path, capsys, method, option,
                                       text):
@@ -224,15 +236,44 @@ def test_fewer_than_one_test_point_is_usage_error(tmp_path, capsys, command,
 ])
 def test_mu0_of_other_dimension_is_usage_error(tmp_path, capsys, command,
                                                 mu0):
-    pat = tmp_path / "pat.csv"
-    assert main(["simulate", "--alpha", "0.7", "--lambda", "0.1", "--mu0",
-                 "gauss:2:1", "--window=-10:10,-10:10", "--seed", "3",
-                 "--out", str(pat)]) == EXIT_OK
+    pat = simulate_gauss(tmp_path)
     out = tmp_path / "out"
     code = main([command[0], "--in", str(pat), "--mu0", mu0,
                  "--out", str(out), *command[1:]])
     assert code == EXIT_USAGE
     assert "mu0 dimension does not match" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--method", "pgf", "--mu0", "gauss:2:nan"],
+    ["fit", "--method", "pgf", "--mu0", "gauss:2:inf"],
+    ["simulate", "--alpha", "0.5", "--lambda", "0.1", "--mu0", "uniform:nan",
+     "--window=-10:10"],
+    ["simulate", "--alpha", "0.5", "--lambda", "inf", "--mu0", "uniform:1",
+     "--window=-10:10"],
+])
+def test_non_finite_parameter_is_usage_error(tmp_path, capsys, command):
+    pat = simulate_gauss(tmp_path)
+    out = tmp_path / "out"
+    source = ["--in", str(pat)] if command[0] == "fit" else []
+    code = main([*command, *source, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coverage_out_of_range_is_numeric_error(tmp_path, capsys):
+    # r/sigma = 1e5 is past the Gaussian ball-mass series' grid: the fit
+    # stops before it writes anything, and with no RuntimeWarning.
+    pat = simulate_gauss(tmp_path)
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--in", str(pat), "--method", "pgf", "--mu0",
+                     "gauss:2:1e-5", "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert "r/sigma = 100000" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -276,17 +317,45 @@ class TestReplicate:
         assert [(r["alpha_se"], r["lambda_se"]) for r in rows] == [("", "")] * 4
 
 
-def test_pgf_fit_imports_neither_scipy_stats_nor_integrate(tmp_path):
-    # A cold import loads no scipy module at all.  A simulation and a
-    # Gaussian p.g.f. fit load neither scipy.stats, scipy.integrate,
-    # scipy.optimize, scipy.spatial nor scipy.linalg; a direct-ls
-    # void-thinned fit loads scipy.spatial for its k-NN profile.
-    pat = tmp_path / "pat.csv"
+def _run_fresh(script, *args):
+    """Run `script` in a fresh interpreter with tasproc on its path; return
+    the JSON values it prints one per line, skipping the CLI's own lines."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tasproc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()
+            if not line.startswith(("wrote", "alpha_hat"))]
+
+
+_LOADED = "\n".join([
+    "import json, sys",
+    "def loaded():",
+    "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
+    "                  and m.count('.') < 2)",
+])
+
+
+def test_gaussian_pgf_fit_loads_no_scipy(tmp_path):
+    pat = simulate_gauss(tmp_path)
     script = "\n".join([
-        "import json, sys",
-        "def loaded():",
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
-        "                  and m.count('.') < 2)",
+        _LOADED,
+        "import tasproc.cli",
+        "code = tasproc.cli.main(['fit', '--in', sys.argv[1], '--method', "
+        "'pgf', '--mu0', 'gauss:2:1', '--out', sys.argv[1] + '.fit.json'])",
+        "print(json.dumps([code, loaded()]))",
+    ])
+    assert _run_fresh(script, pat) == [[EXIT_OK, []]]
+
+
+def test_simulate_and_void_fit_load_only_the_scipy_they_use(tmp_path):
+    # A cold import loads no scipy module at all.  A simulation loads neither
+    # scipy.stats, scipy.integrate, scipy.optimize, scipy.spatial nor
+    # scipy.linalg; a direct-ls void-thinned fit loads scipy.spatial for its
+    # k-NN profile.
+    script = "\n".join([
+        _LOADED,
         "import tasproc, tasproc.cli",
         "print(json.dumps(loaded()))",
         "code = tasproc.cli.main(['simulate', '--alpha', '0.7', '--lambda', "
@@ -294,37 +363,26 @@ def test_pgf_fit_imports_neither_scipy_stats_nor_integrate(tmp_path):
         "'3', '--out', sys.argv[1]])",
         "print(json.dumps([code, loaded()]))",
         "code = tasproc.cli.main(['fit', '--in', sys.argv[1], '--method', "
-        "'pgf', '--mu0', 'gauss:2:1', '--out', sys.argv[1] + '.fit.json'])",
-        "print(json.dumps([code, loaded()]))",
-        "code = tasproc.cli.main(['fit', '--in', sys.argv[1], '--method', "
         "'void-thinned', '--mu0', 'gauss:2:1', '--p', '0.5:1.0:0.5', "
         "'--test-points', 'grid:50'])",
         "print(json.dumps([code, loaded()]))",
     ])
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tasproc.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script, str(pat)],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
-    lines = [json.loads(line) for line in proc.stdout.splitlines()
-             if not line.startswith(("wrote", "alpha_hat"))]
-    assert lines[0] == []
+    imported, (code, simulated), (fit_code, fitted) = _run_fresh(
+        script, tmp_path / "pat.csv")
+    assert imported == []
     # Older scipy releases import scipy.linalg with scipy.special, which the
-    # Sibuya tail and the Gaussian mass still use.
+    # Sibuya tail of a simulation uses.
     special = subprocess.run(
         [sys.executable, "-c",
          "import sys, scipy.special; print('scipy.linalg' in sys.modules)"],
         capture_output=True, text=True, check=True).stdout.strip() == "True"
     never = {"scipy.stats", "scipy.integrate", "scipy.optimize"}
-    for code, modules in lines[1:3]:
-        assert code == EXIT_OK
-        refused = never | {"scipy.spatial"}
-        if not (special and "scipy.special" in modules):
-            refused.add("scipy.linalg")
-        assert not refused & set(modules), modules
-    code, modules = lines[3]
-    assert code == EXIT_OK
-    assert "scipy.spatial" in modules and not never & set(modules), modules
+    refused = never | {"scipy.spatial"}
+    if not (special and "scipy.special" in simulated):
+        refused.add("scipy.linalg")
+    assert code == EXIT_OK and not refused & set(simulated), simulated
+    assert fit_code == EXIT_OK
+    assert "scipy.spatial" in fitted and not never & set(fitted), fitted
 
 
 def test_em_over_work_budget_is_usage_error(tmp_path, capsys):

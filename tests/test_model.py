@@ -69,6 +69,13 @@ class TestClusterDistributions:
         with pytest.raises(ValidationError):
             UniformInterval(0.0)
 
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_scale_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            UniformInterval(value)
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            IsotropicGaussian(2, value)
+
     def test_gaussian_dimensions(self):
         g = IsotropicGaussian(2, 0.5)
         assert g.dimension == 2
@@ -90,8 +97,9 @@ class TestTasParameters:
             TasParameters(0.0, 1.0, mu0)
         with pytest.raises(ValidationError):
             TasParameters(1.2, 1.0, mu0)
-        with pytest.raises(ValidationError):
-            TasParameters(0.5, 0.0, mu0)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                TasParameters(0.5, lam, mu0)
 
 
 class TestPatternCsv:
