@@ -5,8 +5,9 @@ The coverage integral I(r; alpha) = int mu0(B_r - x)^alpha dx is the
 geometry term of the void probability G(r) = exp(-lambda I(r; alpha)).
 `prepare_coverage` does its alpha-independent work once per mu0 and set of
 radii: the uniform-interval mu0 has a closed form; the Gaussian case is done
-by radial quadrature over ball masses tabulated once, each a numpy
-Poisson-mixture series; empirical clouds use exact event-point decomposition
+by radial quadrature over ball masses tabulated once, in numpy, from a
+Poisson-mixture series near the centre and an integral of the noncentral chi
+density away from it; empirical clouds use exact event-point decomposition
 in 1-D and Monte Carlo over in-ball counts drawn once above.
 
 scipy.special serves only the Sibuya tail (`_log_survival`) and is imported
@@ -16,6 +17,7 @@ module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,11 +190,16 @@ def coverage_values(mu0, radii, alpha):
     return prepare_coverage(mu0, radii, alpha_min=alpha).values(alpha)
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n):
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(n)
+
+
 def _gauss_legendre(n, lo, hi):
     """Nodes and weights of the n-point Gauss-Legendre rule on each panel
     [lo, hi]; a new last axis runs over the nodes."""
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(n)
+    x, w = _legendre_rule(n)
     half = 0.5 * (hi - lo)[..., None]
     return lo[..., None] + half * (1.0 + x), half * w
 
@@ -230,10 +237,12 @@ def _prepare_uniform(mu0, radii, alpha_min):
 # Gauss-Legendre nodes per panel of the radial rule; the error bound compares
 # it with the rule of twice as many nodes on the same panels.
 _RADIAL_NODES = 8
-# Bounds on the ball-mass series: the elements of one term array, and the j
-# grid of one radius.
+# Bound on the elements of one term array of the ball-mass series.
 _MAX_TERMS = 2 ** 20
-_MAX_GRID = 2 ** 22
+# Panels in y of the far-field mass integral, as fractions of the y range,
+# and the least t u (above 8 nu^2) at which it sums Hankel's series for I_nu.
+_FAR_PANELS = np.array([0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
+_HANKEL_MIN = 50.0
 # stirlerr(k) = log Gamma(k+1) - (k + 1/2) log k + k - log(2 pi)/2 at
 # k = 0, 1/2, 1, ..., 15 (0 at k = 0), from mpmath at 40 digits:
 #   [mp.loggamma(k + 1) - (k + 0.5) * mp.log(k) + k - mp.log(2 * mp.pi) / 2
@@ -286,73 +295,146 @@ def _bd0(k, m):
     return out
 
 
+def _log_pois(k, m):
+    """log(m^k e^-m / k!) in Loader's saddle-point form."""
+    return -_stirling(k) - _bd0(k, m)
+
+
 def _window(peak):
     """Half-width in j of the terms of the mass series kept around a peak."""
     return np.ceil(12.0 * np.sqrt(peak + 1.0) + 12.0)
 
 
 def _gaussian_log_mass(u, rho, d):
-    """log M(u) for M(u) = P(|X - u e| <= rho), X ~ N(0, I_d), over an
-    array u >= 0 and one rho > 0.
+    """log M(u) for M(u) = P(|X - u e| <= rho), X ~ N(0, I_d), elementwise
+    over centre distances u >= 0 and radii rho > 0 that broadcast together.
 
-    With lam = u^2/2, y = rho^2/2 and a = d/2, M is the Poisson mixture
-    sum_j pois(j; lam) P(a + j, y) of central chi-square CDFs, and
-    P(a + j, y) = sum_{n >= j} pois(a + n; y), pois(k; m) = m^k e^-m / k!.
-    Every term is positive and is summed in logs, so M may lie far below the
-    smallest double.  log P is built once on a j grid; the terms are
-    log-concave in j and each u sums only those within `_window` of its
-    peak, which lies at or below min(lam, sqrt(lam y)).  Centres deeper than
-    sqrt(d) + 40 inside the ball have 1 - M < e^-800 and get log M = 0.
+    Centres deeper than sqrt(d) + 40 inside the ball have 1 - M < e^-800 and
+    get log M = 0.  Where rho (u + sqrt(d)) < 1e-20, M = V_d rho^d phi_d(u)
+    to double precision.  Otherwise a centre takes the far-field integral
+    where its products t u stay above `_HANKEL_MIN` and the Poisson-mixture
+    series elsewhere.
     """
-    u = np.asarray(u, dtype=float)
+    u, rho = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                 np.asarray(rho, dtype=float))
     out = np.zeros(u.shape)
-    active = u > rho - np.sqrt(d) - 40.0
-    if not np.any(active):
-        return out
-    # At u = 0 only the j = 0 term is left; the floor keeps its logs finite.
-    lam = np.maximum(0.5 * u[active] ** 2, 1e-300)
-    y, a = 0.5 * rho * rho, 0.5 * d
-    if y < 1e-300:
-        raise ArithmeticError("Gaussian ball mass series is out of range at "
-                              "r/sigma = %g" % rho)
-    peak_hi = np.minimum(lam, np.sqrt(lam * y))
-    low = peak_hi.min() - a
-    j_lo = max(0.0, np.floor(low - 2.0 * _window(max(low, 0.0))))
-    j_hi = np.ceil(peak_hi.max() + _window(peak_hi.max())) + 1.0
-    top = max(j_hi, np.ceil(y)) + np.ceil(40.0 * np.sqrt(y + 1.0)) + 60.0
-    if top - j_lo >= _MAX_GRID:
-        raise ArithmeticError(
-            "Gaussian ball mass needs a series of %d terms at r/sigma = %g, "
-            "over the limit of %d" % (top - j_lo + 1, rho, _MAX_GRID))
-    n = np.arange(j_lo, top + 1.0)
-    # log pois(k; m) = -_stirling(k) - _bd0(k, m), Loader's form.
-    log_pois = -_stirling(a + n) - _bd0(a + n, y)
-    log_p = np.logaddexp.accumulate(log_pois[::-1])[::-1]
-    j = n[:int(j_hi - j_lo) + 1]
-    log_p = log_p[:j.size]
-    slope = np.log(j[1:]) - np.diff(log_p)
-    peaks = j[np.searchsorted(slope, np.log(lam))]
-    half = _window(peaks.max())
-    if j_lo > 0.0 and np.any(peaks - _window(peaks) < j_lo):
-        raise ArithmeticError("Gaussian ball mass series lost its peak at "
-                              "r/sigma = %g" % rho)
-    base = log_p - _stirling(j)
-    offsets = np.arange(-half, half + 1.0)
-    chunk = max(1, _MAX_TERMS // offsets.size)
-    log_mass = np.empty(lam.size)
-    for start in range(0, lam.size, chunk):
-        jj = peaks[start:start + chunk, None] + offsets
-        index = (jj - j_lo).astype(int)
-        inside = (index >= 0) & (index < j.size)
-        index = np.clip(index, 0, j.size - 1)
-        terms = base[index] - _bd0(np.maximum(jj, 0.0),
-                                   lam[start:start + chunk, None])
-        terms[~inside] = -np.inf
-        top_term = terms.max(axis=1)
-        log_mass[start:start + chunk] = top_term + np.log(
-            np.sum(np.exp(terms - top_term[:, None]), axis=1))
-    out[active] = log_mass
+    tiny = rho * (u + np.sqrt(d)) < 1e-20
+    out[tiny] = (d * np.log(rho[tiny]) - 0.5 * d * np.log(2.0)
+                 - math.lgamma(0.5 * d + 1.0) - 0.5 * u[tiny] ** 2)
+    gap = u - rho
+    t_min = rho - np.where(gap < 0.0, 0.0, _far_span(gap))
+    active = ~tiny & (u > rho - np.sqrt(d) - 40.0)
+    far = active & (t_min * u >= _HANKEL_MIN + 2.0 * (d - 2.0) ** 2)
+    near = active & ~far
+    if np.any(far):
+        out[far] = _gaussian_log_mass_far(u[far], rho[far], d)
+    if np.any(near):
+        out[near] = _gaussian_log_mass_series(u[near], rho[near], d)
     return out
+
+
+def _gaussian_log_mass_series(u, rho, d):
+    """log M(u) from M = sum_j pois(j; lam) P(a + j, y), lam = u^2/2,
+    y = rho^2/2, a = d/2, the Poisson mixture of central chi-square CDFs,
+    with P(a + j, y) = sum_{n >= j} pois(a + n; y), over 1-D u and rho.
+
+    Every term is positive and is summed in logs, so M may lie far below the
+    smallest double.  log P is built once per radius on a j grid.  The terms
+    are log-concave in j; each u sums those within its `_window` (rounded up
+    to a multiple of 8) of its peak, which lies at or below
+    min(lam, sqrt(lam y)), walking out from the peak by the ratios
+    pois(j+1; lam) / pois(j; lam) = lam / (j+1).
+    """
+    u, rho = np.broadcast_arrays(u, rho)
+    # At u = 0 only the j = 0 term is left; the floor keeps its logs finite.
+    lam = np.maximum(0.5 * u * u, 1e-300)
+    radii, row = np.unique(rho, return_inverse=True)
+    y, a = 0.5 * radii * radii, 0.5 * d
+    peak_hi = np.zeros(radii.size)
+    np.maximum.at(peak_hi, row, np.minimum(lam, np.sqrt(lam * y[row])))
+    # The computed peaks may pass the bound by one.
+    top = np.max(np.maximum(peak_hi + _window(peak_hi + 1.0) + 19.0,
+                            np.ceil(y)) + np.ceil(40.0 * np.sqrt(y + 1.0)))
+    n = np.arange(top + 60.0)
+    log_p = np.empty((radii.size, n.size))
+    step = max(1, _MAX_TERMS // n.size)
+    for start in range(0, radii.size, step):
+        log_p[start:start + step] = np.logaddexp.accumulate(_log_pois(
+            a + n, y[start:start + step, None])[:, ::-1], axis=1)[:, ::-1]
+    order = np.argsort(row, kind="stable")
+    ends = np.searchsorted(row[order], np.arange(radii.size + 1))
+    peaks = np.empty(u.size, dtype=int)
+    log_n = np.log(n[1:])
+    for r in range(radii.size):
+        nodes = order[ends[r]:ends[r + 1]]
+        peaks[nodes] = np.searchsorted(log_n - np.diff(log_p[r]),
+                                       np.log(lam[nodes]))
+
+    def side_sum(sign, reach):
+        """Sum over k = 1..reach, rounded up to a multiple of 8, of the terms
+        at j = peak + sign k, relative to the term at the peak."""
+        widths = 8 * np.ceil(reach / 8.0).astype(int)
+        total = np.zeros(u.size)
+        for width in np.unique(widths[widths > 0]):
+            steps = np.arange(1, width + 1)
+            same = np.flatnonzero(widths == width)
+            chunk = max(1, _MAX_TERMS // width)
+            for start in range(0, same.size, chunk):
+                i = same[start:start + chunk, None]
+                p, m, r = peaks[i], lam[i], row[i]
+                j = p + sign * steps
+                # log pois(j; lam) - log pois(p; lam), one ratio at a time.
+                with np.errstate(divide="ignore"):
+                    ratios = np.log(m / (p + steps) if sign > 0
+                                    else np.maximum(j + 1, 0) / m)
+                terms = (np.cumsum(ratios, axis=1) + log_p[r, np.maximum(j, 0)]
+                         - log_p[r, p])
+                total[i[:, 0]] = np.sum(np.exp(terms), axis=1)
+        return total
+
+    window = _window(peaks)
+    rest = side_sum(1, window) + side_sum(-1, np.minimum(window, peaks))
+    return _log_pois(peaks, lam) + log_p[row, peaks] + np.log1p(rest)
+
+
+def _far_span(gap):
+    """The y range of the far-field integral: where y |gap| + y^2/2 = 50."""
+    g = np.abs(gap)
+    return 100.0 / (np.sqrt(g * g + 100.0) + g)
+
+
+def _gaussian_log_mass_far(u, rho, d):
+    """log M(u) where every t u below is at least 8 nu^2 + `_HANKEL_MIN`.
+
+    The density of |X - u e| is f(t) = (t/u)^(nu+1/2) S(t u) phi(t - u),
+    nu = d/2 - 1, with S(z) = sqrt(2 pi z) e^-z I_nu(z).  A centre outside
+    the ball integrates f inward from the boundary, t = rho - y; one inside
+    integrates the mass outside, t = rho + y, and takes log1p(-it).  Either
+    way f carries exp(-gap^2/2 - y |gap| - y^2/2), gap = u - rho, and y runs
+    to where that exponent has fallen by 50.  There Hankel's asymptotic
+    series gives S to double precision.
+    """
+    u, rho = np.broadcast_arrays(u, rho)
+    nu = 0.5 * d - 1.0
+    gap = u - rho
+    g = np.abs(gap)
+    y_max = _far_span(gap)
+    y, w = _gauss_legendre(16, y_max[:, None] * _FAR_PANELS[:-1],
+                           y_max[:, None] * _FAR_PANELS[1:])
+    # Axes of y: centre, panel, node.
+    side = np.where(gap < 0.0, 1.0, -1.0)
+    uu, rr, gg, side = (x[:, None, None] for x in (u, rho, g, side))
+    t = rr + side * y
+    term = series = np.ones_like(t)
+    for k in range(1, 60):
+        term = term * ((2 * k - 1) ** 2 - 4.0 * nu * nu) / (8.0 * k * t * uu)
+        series = series + term
+        if np.max(np.abs(term)) < 1e-17:
+            break
+    f = series * np.exp((nu + 0.5) * np.log(t / uu) - y * gg - 0.5 * y * y)
+    tail = np.sum(w * f, axis=(1, 2)) / np.sqrt(2.0 * np.pi)
+    return np.where(gap < 0.0, np.log1p(-np.exp(-0.5 * g * g) * tail),
+                    -0.5 * g * g + np.log(tail))
 
 
 def _sphere_surface(d):
@@ -380,12 +462,8 @@ def _prepare_gaussian(mu0, radii, alpha_min):
     for n in (_RADIAL_NODES, 2 * _RADIAL_NODES):
         u, w = _gauss_legendre(n, breaks[:, :-1], breaks[:, 1:])
         u, w = u.reshape(rho.size, -1), w.reshape(rho.size, -1)
-        rules.append((u, scale * w * u ** (d - 1)))
-    (u_coarse, w_coarse), (u_fine, w_fine) = rules
-    # One series grid per radius serves the nodes of both rules.
-    log_mass = np.array([_gaussian_log_mass(np.concatenate(nodes), r, d)
-                         for r, *nodes in zip(rho[:, 0], u_coarse, u_fine)])
-    log_coarse, log_fine = np.hsplit(log_mass, [u_coarse.shape[1]])
+        rules.append((_gaussian_log_mass(u, rho, d), scale * w * u ** (d - 1)))
+    (log_coarse, w_coarse), (log_fine, w_fine) = rules
     # Rounding allowance: one ulp of the value per node summed.
     ulps = w_fine.shape[1] * np.finfo(float).eps
 

@@ -29,6 +29,8 @@ from tasproc.analytics import (
     _empirical_pieces_1d,
     _gauss_legendre,
     _gaussian_log_mass,
+    _gaussian_log_mass_far,
+    _gaussian_log_mass_series,
 )
 
 
@@ -381,21 +383,95 @@ class TestGaussianLogMass:
 
     def test_chunks_give_the_same_sums(self, monkeypatch):
         u = np.linspace(0.0, 80.0, 300)
-        whole = _gaussian_log_mass(u, 30.0, 2)
+        whole = _gaussian_log_mass_series(u, 30.0, 2)
         monkeypatch.setattr(analytics, "_MAX_TERMS", 1000)
-        assert np.array_equal(_gaussian_log_mass(u, 30.0, 2), whole)
+        assert np.array_equal(_gaussian_log_mass_series(u, 30.0, 2), whole)
+
+    # log M at 40 digits by mpmath, with y = |t - rho| and the factor
+    # exp(-(u - rho)^2/2) taken out of the noncentral chi density; y runs
+    # inward from rho when u >= rho and outward when u < rho, where
+    # M = 1 - Q.  At d = 1 it matches the erfc form above to 40 digits.
+    #
+    #   def log_mass(u, rho, d):
+    #       u, rho = mp.mpf(u), mp.mpf(rho)
+    #       nu, g = mp.mpf(d) / 2 - 1, abs(u - rho)
+    #       s = -1 if u >= rho else 1
+    #       def f(y):
+    #           t = rho + s * y
+    #           return (t * (t / u) ** nu * mp.besseli(nu, t * u)
+    #                   * mp.exp(-(t * t + u * u) / 2 + g * g / 2))
+    #       top = min(rho, 60 / (g + 1) + 12)
+    #       pts = [0] + [mp.mpf(2) ** -k * top for k in range(30, -1, -1)]
+    #       q = mp.quad(f, pts, maxdegree=12)
+    #       if s < 0:
+    #           return mp.log(q) - g * g / 2
+    #       return mp.log(1 - q * mp.exp(-g * g / 2))
+    @pytest.mark.parametrize("d, rho, u, reference", [
+        (2, 3.0, 45.0, -888.01425007730053838),
+        (2, 8.0, 20.0, -75.873204863859338549),
+        (2, 8.0, 50.0, -887.57464088844759174),
+        (2, 80.0, 75.0, -2.9640338010477388142e-7),
+        (2, 80.0, 80.3, -0.96834341733975152498),
+        (2, 80.0, 105.0, -316.77560927595051882),
+        (2, 100000.0, 99999.75, -0.51298730461755420024),
+        (2, 100000.0, 100007.0, -27.384343185302400642),
+        (2, 100000.0, 100090.0, -4055.4193214753950811),
+        (3, 80.0, 79.0, -0.17640092775345899115),
+        (3, 80.0, 82.0, -3.8125530564143129548),
+        (3, 80.0, 170.0, -4056.1727822888783611),
+        (3, 10000.0, 10000.0, -0.69322697219929378429),
+        (3, 10000.0, 10025.0, -316.6419088755280012),
+        (5, 3.0, 50.0, -1114.9172674414307022),
+        (5, 16.0, 30.0, -102.83118624063752181),
+        (5, 80.0, 75.0, -3.2761548365304337493e-7),
+        (5, 80.0, 80.3, -0.98722839121443581929),
+        (5, 80.0, 87.0, -27.555653138862024258),
+        (5, 100000.0, 99999.0, -0.17275953112569283557),
+        (5, 100000.0, 100002.0, -3.7832317976951931349),
+        (5, 100000.0, 100025.0, -316.63990874309089035),
+    ])
+    def test_far_field_against_high_precision(self, d, rho, u, reference):
+        value = _gaussian_log_mass(np.array([u]), rho, d)[0]
+        assert abs(value - reference) <= 1e-14 * max(1.0, abs(reference))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_far_field_matches_series(self, d):
+        # Both forms hold on these centres; each takes its own share of
+        # them in _gaussian_log_mass.
+        for rho in (8.0, 16.0, 30.0, 70.0, 140.0):
+            u = np.linspace(max(rho - 40.0, rho / 2.0, 12.0), rho + 95.0, 300)
+            series = _gaussian_log_mass_series(u, rho, d)
+            far = _gaussian_log_mass_far(u, rho, d)
+            assert np.all(np.abs(far - series)
+                          <= 1e-13 * np.maximum(1.0, np.abs(series)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_tiny_radius_is_leading_term(self, d):
+        # M = V_d rho^d phi_d(u) (1 + O(rho^2 (u^2 + d))): the series gives
+        # it at rho = 1e-19, and the leading term is used below 1e-20.
+        u = np.linspace(0.0, 12.0, 50)
+        for rho in (1e-19, 1e-160):
+            leading = (d * np.log(rho) - 0.5 * d * np.log(2.0)
+                       - math.lgamma(0.5 * d + 1.0) - 0.5 * u * u)
+            assert np.allclose(_gaussian_log_mass(u, rho, d), leading,
+                               rtol=1e-14, atol=0.0)
 
     def test_large_radius_coverage(self):
-        # The value of the chndtr and Bessel-form mass this series replaced.
+        # The value of the chndtr and Bessel-form mass that the numpy one
+        # replaced.
         res = coverage_integral(IsotropicGaussian(2, 1.0), 1e4, 0.5)
         assert abs(res.value - 314203521.595606) <= res.abs_error_bound
 
-    @pytest.mark.parametrize("sigma, radius", [(1e-5, 1.0), (1.0, 1e-160)])
-    def test_radius_out_of_range_raises(self, sigma, radius):
-        # r/sigma = 1e5 needs a j grid over 2^22 entries; r/sigma = 1e-160
-        # squares below the normal doubles.
-        with pytest.raises(ArithmeticError, match="r/sigma"):
-            coverage_integral(IsotropicGaussian(2, sigma), radius, 0.5)
+    @pytest.mark.parametrize("d, sigma, radius", [
+        (2, 1e-5, 1.0), (2, 1e-8, 1.0), (3, 1e-5, 2.0),
+        (1, 1.0, 1e-160), (2, 1.0, 1e-100),
+    ])
+    def test_ball_volume_at_extreme_radius_ratios(self, d, sigma, radius):
+        # At alpha = 1 the coverage is the ball volume for any mu0.  scipy's
+        # chndtr, which the numpy mass replaced, gave NaN from r/sigma ~ 1e5.
+        res = coverage_integral(IsotropicGaussian(d, sigma), radius, 1.0)
+        volume = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius ** d
+        assert res.value == pytest.approx(volume, rel=1e-13)
 
 
 class TestPreparedCoverage:

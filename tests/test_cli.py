@@ -263,18 +263,33 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_coverage_out_of_range_is_numeric_error(tmp_path, capsys):
-    # r/sigma = 1e5 is past the Gaussian ball-mass series' grid: the fit
-    # stops before it writes anything, and with no RuntimeWarning.
-    pat = simulate_gauss(tmp_path)
+def test_non_finite_coverage_is_numeric_error(tmp_path, capsys):
+    # A halfwidth near the float maximum overflows the uniform closed form:
+    # the fit stops before it writes anything, and with no RuntimeWarning.
+    pat = run_simulate(tmp_path)
     out = tmp_path / "fit.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["fit", "--in", str(pat), "--method", "pgf", "--mu0",
-                     "gauss:2:1e-5", "--out", str(out)])
+                     "uniform:1e308", "--out", str(out)])
     assert code == EXIT_NUMERIC
-    assert "r/sigma = 100000" in capsys.readouterr().err
+    assert "coverage integral is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_large_radius_ratio_fit(tmp_path):
+    # r/sigma = 5e4 takes the far-field ball mass; scipy's chndtr, which it
+    # replaced, gave a NaN objective here.
+    pat = simulate_gauss(tmp_path)
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--in", str(pat), "--method", "pgf", "--mu0",
+                 "gauss:2:1e-4", "--radius", "5", "--out", str(out)])
+    assert code == EXIT_OK
+
+    def reject(token):
+        raise ValueError("non-finite number %s" % token)
+    fit = json.loads(out.read_text(), parse_constant=reject)
+    assert fit["converged"]
 
 
 class TestReplicate:
