@@ -332,55 +332,47 @@ def _fit_ls(radii, idx, s, ghat, mu0, objective, method):
     where s is the retention: p for a thinned void curve, 1 - z for a count
     p.g.f.
 
-    direct-ls runs a bounded Levenberg-Marquardt over (alpha, lambda) with the
-    exact Jacobian; log-profiled-ls runs Brent's bounded search over alpha
-    only, with lambda profiled out of the log residuals (points with
-    G_hat = 0 are dropped there).  The log model is linear in
-    lambda: for x = s^alpha I and y = log G_hat,
-    lambda(alpha) = max(0, -sum(x*y)/sum(x^2)).
+    One bounded Levenberg-Marquardt over (alpha, lambda) with the exact
+    Jacobian runs every fit; the objective picks its residuals.  direct-ls
+    fits G_hat - exp(-lambda x), for x = s^alpha I; log-profiled-ls fits
+    log G_hat + lambda x over the points with G_hat > 0.  Both start at
+    alpha mid-box and at the lambda that minimizes the log residuals there,
+    max(0, -sum(x*y)/sum(x^2)) for y = log G_hat.
     """
     if not np.all((s > 0.0) & (s <= 1.0)):
         raise ValidationError("retention probability must lie in (0, 1], "
                               "i.e. z in [0, 1)")
+    if ghat.shape != s.shape:
+        raise ValidationError("need one G_hat value per (r, s) point")
+    if not np.all((ghat >= 0.0) & (ghat <= 1.0)):
+        raise ValidationError("G_hat values must lie in [0, 1]")
     # -log G_hat estimates lambda s^alpha I(r; alpha), finite and positive
     # only for 0 < G_hat < 1; two unknowns need two such points.
     if np.count_nonzero((ghat > 0.0) & (ghat < 1.0)) < 2:
         raise DegenerateDataError("need at least 2 points with 0 < G_hat < 1")
+    if objective not in ("direct-ls", "log-profiled-ls"):
+        raise ValidationError("unknown objective %r" % (objective,))
     coverage = prepare_coverage(mu0, radii, alpha_min=_ALPHA_BOUNDS[0])
     pos = ghat > 0.0
     y = np.log(ghat[pos])
-
-    def profiled(alpha):
-        x = (s ** alpha * coverage.values(alpha)[idx])[pos]
-        lam = max(0.0, float(-(x @ y) / max(float(x @ x), 1e-300)))
-        resid = y + lam * x
-        return lam, float(resid @ resid)
-
-    if objective == "log-profiled-ls":
-        res = optimize.minimize_scalar(lambda a: profiled(a)[1],
-                                       bounds=_ALPHA_BOUNDS, xatol=1e-10,
-                                       maxiter=_MAX_ITER)
-        alpha_hat = float(res.x)
-        lambda_hat, obj = profiled(alpha_hat)
-        return FitResult(alpha_hat, lambda_hat, obj, method,
-                         n_iterations=int(res.nfev), converged=bool(res.success))
-    if objective != "direct-ls":
-        raise ValidationError("unknown objective %r" % (objective,))
     log_s = np.log(s)
 
     def residuals(theta):
-        # r = G_hat - exp(-lambda x), x = s^alpha I(r; alpha), and
-        # dx/dalpha = s^alpha (I log s + dI/dalpha).
+        # x = s^alpha I(r; alpha), dx/dalpha = s^alpha (I log s + dI/dalpha).
         alpha, lam = theta
         cov, dcov = coverage.values_and_derivatives(alpha)
         s_alpha = s ** alpha
         x = s_alpha * cov[idx]
-        model = np.exp(-lam * x)
         dx = s_alpha * (cov[idx] * log_s + dcov[idx])
+        if objective == "log-profiled-ls":
+            x, dx = x[pos], dx[pos]
+            return y + lam * x, np.column_stack([lam * dx, x])
+        model = np.exp(-lam * x)
         return ghat - model, np.column_stack([lam * model * dx, model * x])
 
     alpha0 = 0.5 * (_ALPHA_BOUNDS[0] + _ALPHA_BOUNDS[1])
-    lam0 = profiled(alpha0)[0] or 1.0
+    x0 = (s ** alpha0 * coverage.values(alpha0)[idx])[pos]
+    lam0 = max(0.0, float(-(x0 @ y) / max(float(x0 @ x0), 1e-300))) or 1.0
     res = optimize.minimize(residuals, [alpha0, lam0],
                             bounds=[_ALPHA_BOUNDS, (0.0, np.inf)],
                             maxiter=_MAX_ITER)
@@ -419,9 +411,9 @@ def fit_pgf_curve(z_grid, g_values, mu0, radius):
     """Fit (alpha, lambda) to p.g.f. values via log g(z) = -lambda (1-z)^alpha I.
 
     This is the void fit's log-profiled least squares at one radius, with
-    retention s = 1 - z: lambda is profiled in closed form and the search
-    runs over alpha only.  Values g = 0 are dropped, and fewer than 2 values
-    with 0 < g < 1 raise DegenerateDataError.
+    retention s = 1 - z.  Values g = 0 are dropped, fewer than 2 values
+    with 0 < g < 1 raise DegenerateDataError, and values outside [0, 1] or
+    not one per z raise ValidationError.
     """
     z = np.asarray(z_grid, dtype=float)
     return _fit_ls([radius], np.zeros(z.size, dtype=int), 1.0 - z,

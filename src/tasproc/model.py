@@ -340,9 +340,11 @@ class ContactCurve:
         g = np.asarray(self.values, dtype=float)
         if r.ndim != 1 or r.shape != g.shape:
             raise ValidationError("radii and values must be 1-d of equal length")
-        if np.any(r < 0) or np.any(np.diff(r) <= 0):
-            raise ValidationError("radii must be nonnegative and strictly increasing")
-        if np.any((g < 0) | (g > 1)):
+        # NaN fails every comparison, so both checks reject it.
+        if not (np.all(np.isfinite(r) & (r >= 0)) and np.all(np.diff(r) > 0)):
+            raise ValidationError("radii must be finite, nonnegative and "
+                                  "strictly increasing")
+        if not np.all((g >= 0) & (g <= 1)):
             raise ValidationError("curve values must lie in [0, 1]")
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "values", g)

@@ -1,3 +1,4 @@
+import functools
 import json
 import warnings
 from unittest import mock
@@ -350,6 +351,7 @@ class TestFitVoid:
             fit_void(curves, self.mu0, objective=objective)
 
 
+@functools.lru_cache(maxsize=None)
 def _table1_curves(seed, op):
     """The thinned curves of the Table-1 replicate that perfbench's table1
     workload runs as op `op` of a run with seed `seed`."""
@@ -367,13 +369,23 @@ def _table1_curves(seed, op):
             for p in DEFAULT_P_VALUES}
 
 
-def _nelder_mead_sse(curves, mu0):
-    """The sum of squares a bounded Nelder-Mead reaches from direct-ls's
-    start: alpha mid-box, lambda profiled from the log residuals."""
+_TABLE1_CASES = ([(1, op) for op in range(20, 36)]
+                 + [(7919, 42), (3, 6), (3, 18)])
+
+
+def _fit_points(curves):
+    """The (radii, idx, s, G_hat) points that fit_void builds from curves."""
     radii, idx = np.unique(np.concatenate([c.radii for c in curves.values()]),
                            return_inverse=True)
     s = np.concatenate([np.full(c.radii.size, p) for p, c in curves.items()])
     ghat = np.concatenate([c.values for c in curves.values()])
+    return radii, idx, s, ghat
+
+
+def _nelder_mead_sse(curves, mu0):
+    """The sum of squares a bounded Nelder-Mead reaches from direct-ls's
+    start: alpha mid-box, lambda profiled from the log residuals."""
+    radii, idx, s, ghat = _fit_points(curves)
     coverage = prepare_coverage(mu0, radii, alpha_min=0.01)
 
     def sse(v):
@@ -392,9 +404,26 @@ def _nelder_mead_sse(curves, mu0):
     return float(res.fun)
 
 
+def _brent_profiled_sse(radii, idx, s, ghat, mu0):
+    """The log sum of squares that scipy's bounded Brent search reaches over
+    alpha alone, with lambda profiled out in closed form at each alpha."""
+    coverage = prepare_coverage(mu0, radii, alpha_min=0.01)
+    pos = ghat > 0
+    y = np.log(ghat[pos])
+
+    def sse(alpha):
+        x = (s ** alpha * coverage.values(alpha)[idx])[pos]
+        resid = y + max(0.0, -(x @ y) / (x @ x)) * x
+        return float(resid @ resid)
+
+    res = optimize.minimize_scalar(sse, bounds=(0.01, 0.999),
+                                   method="bounded",
+                                   options={"xatol": 1e-10, "maxiter": 500})
+    return float(res.fun)
+
+
 @pytest.mark.filterwarnings("ignore:profile depth")
-@pytest.mark.parametrize("seed, op", [(1, op) for op in range(20, 36)]
-                         + [(7919, 42), (3, 6), (3, 18)])
+@pytest.mark.parametrize("seed, op", _TABLE1_CASES)
 def test_direct_ls_never_worse_than_nelder_mead(seed, op):
     mu0 = UniformInterval(1.0)
     curves = _table1_curves(seed, op)
@@ -406,6 +435,34 @@ def test_direct_ls_never_worse_than_nelder_mead(seed, op):
         # Nelder-Mead stalls on the bound alpha = 0.999 here.
         assert fit.alpha_hat < 0.995
         assert fit.objective_value < nm * (1.0 - 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:profile depth")
+@pytest.mark.parametrize("seed, op", _TABLE1_CASES)
+def test_log_profiled_ls_never_worse_than_brent(seed, op):
+    mu0 = UniformInterval(1.0)
+    curves = _table1_curves(seed, op)
+    fit = fit_void(curves, mu0, objective="log-profiled-ls")
+    assert fit.converged
+    assert fit.objective_value <= (
+        _brent_profiled_sse(*_fit_points(curves), mu0) * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("stream", range(12))
+def test_pgf_fit_never_worse_than_brent(stream):
+    # A Fig-3 pattern's ball-count p.g.f. at r = 1, fitted at s = 1 - z.
+    mu0 = FIG3_PARAMS.mu0
+    z = np.round(np.arange(0.1, 0.95, 0.1), 10)
+    pattern = simulate_tas(FIG3_PARAMS, FIG3_WINDOW, RandomSource(11, stream),
+                           n_max=HARNESS_N_MAX)
+    counts = _ball_counts(pattern.points,
+                          grid_test_points(FIG3_WINDOW.erode(1.0), 400), 1.0)
+    g = ball_count_pgf(counts, z)
+    fit = fit_pgf_curve(z, g, mu0, 1.0)
+    brent = _brent_profiled_sse(np.array([1.0]), np.zeros(z.size, dtype=int),
+                                1.0 - z, g, mu0)
+    assert fit.converged
+    assert fit.objective_value <= brent * (1.0 + 1e-12)
 
 
 class TestBallCountPgf:
@@ -496,6 +553,18 @@ class TestFitCountPgf:
         fit = fit_pgf_curve(z, g, self.mu0, 1.0)
         assert fit.alpha_hat == pytest.approx(0.7, abs=1e-6)
         assert fit.lambda_hat == pytest.approx(0.1, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, -0.1, "short"])
+    def test_pgf_values_outside_unit_interval_or_misaligned_rejected(self,
+                                                                      bad):
+        z = np.arange(0.1, 0.95, 0.1)
+        g = count_pgf(TasParameters(0.7, 0.1, self.mu0), 1.0, z)
+        if bad == "short":
+            g = g[:2]
+        else:
+            g[4] = bad
+        with pytest.raises(ValidationError):
+            fit_pgf_curve(z, g, self.mu0, 1.0)
 
     def test_pgf_curve_one_value_below_one_rejected(self):
         with pytest.raises(DegenerateDataError):

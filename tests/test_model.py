@@ -209,6 +209,14 @@ class TestContactCurve:
             ContactCurve([1.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValidationError):
             ContactCurve([1.0, 2.0], [0.5, 1.5])
+        for radii, values in [([1.0, 2.0], [np.nan, 0.5]),
+                              ([np.nan, 1.0], [0.5, 0.4]),
+                              ([1.0, np.nan], [0.5, 0.4]),
+                              ([1.0, np.inf], [0.5, 0.4])]:
+            with pytest.raises(ValidationError):
+                ContactCurve(radii, values)
+        with pytest.raises(ValidationError):
+            ContactCurve.from_csv(io.StringIO("r,G\n1,nan\n"))
 
     def test_csv_roundtrip(self):
         curve = ContactCurve([0.5, 1.0, 2.0], [0.9, 0.5, 0.1])
