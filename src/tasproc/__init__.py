@@ -52,7 +52,6 @@ from .estimation import (
     fit_void,
     grid_test_points,
     random_test_points,
-    thinned_contact_closed_form,
     thinned_contact_estimate,
 )
 from .mixture import MixtureComponent, MixtureModel, em_estimate_mu0, fit_gaussian_mixture

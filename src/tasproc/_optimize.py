@@ -20,8 +20,9 @@ _FTOL = 1e-13
 
 
 def minimize(fun, x0, bounds, maxiter):
-    """Minimize |r(x)|^2 over the box `bounds` ((lo, hi) per parameter),
-    where `fun(x)` returns the residuals r and their Jacobian dr/dx.
+    """Minimize |r(x)|^2 over the box `bounds` ((lo, hi) per parameter) for
+    two parameters x, where `fun(x)` returns the residuals r and their
+    Jacobian dr/dx as a (2, n) array, one row per parameter.
 
     Each iteration solves the damped normal equations (J'J + mu diag J'J)
     dx = -J'r over the parameters not held at a bound, clips the step to the
@@ -30,8 +31,8 @@ def minimize(fun, x0, bounds, maxiter):
     within the sum's rounding noise is accepted as a full-gain step, since
     the sum cannot tell it from no step; the fit then stops at the
     Gauss-Newton stationary point instead of wherever that noise stalls it.
-    A parameter is held while it sits on a bound that the gradient pushes
-    against.  `nit` counts the steps tried.
+    A parameter is held on a bound that the gradient pushes against, and
+    while its Jacobian row is zero.  `nit` counts the steps tried.
     """
     lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -40,14 +41,20 @@ def minimize(fun, x0, bounds, maxiter):
     nit, mu, nu = 0, 1e-3, 2.0
     converged = False
     while nit < maxiter:
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        free = ~(((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0)))
-        step = np.zeros_like(x)
-        if free.any():
-            h = hess[np.ix_(free, free)]
-            step[free] = np.linalg.solve(
-                h + mu * np.diag(np.maximum(np.diag(h), 1e-300)), -grad[free])
+        grad = jac @ r
+        hess = jac @ jac.T
+        diag = hess.diagonal()
+        free = (diag > 0.0) & ~(((x <= lo) & (grad > 0.0))
+                                | ((x >= hi) & (grad < 0.0)))
+        # Elimination with partial pivoting, which stays in range where
+        # Cramer's rule overflows; a held parameter's row is the identity.
+        a, d = np.where(free, diag + mu * np.maximum(diag, 1e-300), 1.0)
+        g0, g1 = np.where(free, -grad, 0.0)
+        b = hess[0, 1] if free.all() else 0.0
+        rows = [(a, b, g0), (b, d, g1)]
+        (p, q, u), (s, t, v) = rows if abs(a) >= abs(b) else rows[::-1]
+        x1 = (v - s / p * u) / (t - s / p * q)
+        step = np.array([(u - q * x1) / p, x1])
         trial = np.clip(x + step, lo, hi)
         step = trial - x
         if np.all(np.abs(step) <= _XTOL * (np.abs(x) + _XTOL)):

@@ -375,7 +375,8 @@ def _gaussian_log_mass_series(u, rho, d):
         at j = peak + sign k, relative to the term at the peak."""
         widths = 8 * np.ceil(reach / 8.0).astype(int)
         total = np.zeros(u.size)
-        for width in np.unique(widths[widths > 0]):
+        # A plain np.unique would import numpy.ma.
+        for width in sorted(set(widths[widths > 0].tolist())):
             steps = np.arange(1, width + 1)
             same = np.flatnonzero(widths == width)
             chunk = max(1, _MAX_TERMS // width)

@@ -112,14 +112,14 @@ def cmd_simulate(args):
 
 def cmd_fit(args):
     pattern = _load_pattern(args)
-    rng = RandomSource(args.seed, args.stream)
     result = None
 
     if args.method in ("void", "void-thinned"):
         mu0 = parse_mu0(args.mu0) if args.mu0 else None
         if mu0 is None:
             raise ValidationError("--mu0 is required for the void methods")
-        test_points = parse_test_points(args.test_points, pattern.window, rng)
+        test_points = parse_test_points(args.test_points, pattern.window,
+                                        RandomSource(args.seed, args.stream))
         profile = estimation.distance_profile(pattern, test_points,
                                               depth=args.depth)
         p_values = [1.0] if args.method == "void" else list(parse_range(args.p))
@@ -143,8 +143,9 @@ def cmd_fit(args):
         print("alpha_hat = %.6g" % est.alpha)
     elif args.method == "em-mu0":
         lo, hi = (int(v) for v in args.k.split(":"))
-        model = mixture.em_estimate_mu0(pattern, range(lo, hi + 1),
-                                        noise=args.noise, rng=rng)
+        model = mixture.em_estimate_mu0(
+            pattern, range(lo, hi + 1), noise=args.noise,
+            rng=RandomSource(args.seed, args.stream))
         payload = model.to_json_dict()
         print("selected %d components (BIC %.4g)" % (model.n_components,
                                                      model.bic))

@@ -38,7 +38,6 @@ __all__ = [
     "distance_profile",
     "empirical_contact",
     "thinned_contact_estimate",
-    "thinned_contact_closed_form",
     "ball_count_pgf",
     "fit_void",
     "fit_count_pgf",
@@ -244,24 +243,26 @@ def thinned_contact_estimate(profile, p, radii):
 
 
 def _count_freq(profile, radii):
-    """freq[j, N] = #{i : N_i(r_j) = N} / n over the n test points, from a
-    searchsorted of the profile into the (strictly increasing) radii and a
-    per-row bincount and cumsum: O(nK log R + nR) for R radii."""
-    # Row i of the cumsum is N_i(r_j).
+    """freq[j, N] = #{i : N_i(r_j) = N} / n over the n test points, for
+    strictly increasing radii, in O(nK log R + KR).  Profile rows are sorted,
+    so N_i(r_j) > c exactly when r_{i,c} <= r_j: a bincount of the
+    searchsorted steps per depth column c, cumsummed over the radii, counts
+    these test points, and the histogram is the difference of its rows."""
     k = profile.depth
     n, m = profile.distances.shape[0], radii.size
     steps = np.searchsorted(radii, profile.distances, side="left")
-    steps += np.arange(n)[:, None] * (m + 1)
-    counts = np.bincount(steps.ravel(), minlength=n * (m + 1))
-    counts = counts.reshape(n, m + 1)[:, :m].cumsum(axis=1)
-    counts += np.arange(m) * (k + 1)
-    hist = np.bincount(counts.ravel(), minlength=m * (k + 1)).reshape(m, k + 1)
-    return hist / n
+    steps += np.arange(k) * (m + 1)
+    above = np.bincount(steps.ravel(), minlength=k * (m + 1)).reshape(
+        k, m + 1)[:, :m].cumsum(axis=1)
+    hist = -np.diff(above, axis=0, prepend=n, append=0)
+    # C order: a transposed view would change the rounding of the matvecs.
+    return np.ascontiguousarray(hist.T) / n
 
 
 def _thinned_values(freq, p, exact):
     """mean_i (1-p)^{N_i(r)} per radius, from `_count_freq`; `exact` marks
-    counts without a depth tail, which need no tail-bound warning."""
+    counts without a depth tail, which need no tail-bound warning; the
+    warning names the line that called its caller."""
     if not 0.0 < p <= 1.0:
         raise ValidationError("retention probability must lie in (0, 1]")
     k = freq.shape[1] - 1
@@ -275,15 +276,6 @@ def _thinned_values(freq, p, exact):
     # weight is the bound (1-p)^K bit for bit.  The rounded frequencies of a
     # row can sum an ulp past 1, which weights near 1 (tiny p) carry through.
     return np.minimum(freq @ _powers(1.0 - p, range(k + 1)), 1.0)
-
-
-def thinned_contact_closed_form(profile, p, radii):
-    """Equivalent closed form (1/n) sum_i (1-p)^{N_i(r)}; independent check."""
-    if not 0.0 < p <= 1.0:
-        raise ValidationError("retention probability must lie in (0, 1]")
-    radii = np.asarray(radii, dtype=float)
-    counts = np.sum(profile.distances[:, :, None] <= radii[None, None, :], axis=1)
-    return ContactCurve(radii, np.mean((1.0 - p) ** counts, axis=0))
 
 
 def _powers(z, exponents):
@@ -309,28 +301,11 @@ def ball_count_pgf(counts, z):
 # ---------------------------------------------------------------------------
 # Void-probability least squares
 
-def _collect_curves(data, p_values, radii):
-    """Normalize fit input to a list of (p, ContactCurve) pairs; a profile's
-    curves share one count histogram."""
-    if isinstance(data, DistanceProfile):
-        if radii is None:
-            radii = np.unique(data.nearest)
-            radii = radii[radii > 0]
-        radii = np.asarray(radii, dtype=float)
-        freq = _count_freq(data, radii)
-        return [(p, ContactCurve(radii, _thinned_values(freq, p,
-                                                        data.depth_clamped)))
-                for p in ([1.0] if p_values is None else p_values)]
-    if hasattr(data, "items"):
-        return [(float(p), curve) for p, curve in data.items()]
-    raise ValidationError("expected a DistanceProfile or a {p: ContactCurve} map")
-
-
-def _fit_ls(radii, idx, s, ghat, mu0, objective, method):
+def _fit_ls(radii, retentions, idx, ghat, mu0, objective, method):
     """Least-squares fit of (alpha, lambda) to G_hat at the points
-    (radii[idx], s) under the model G = exp(-lambda s^alpha I(r; alpha)),
-    where s is the retention: p for a thinned void curve, 1 - z for a count
-    p.g.f.
+    (r, s) = (radii[idx[0]], retentions[idx[1]]) under the model
+    G = exp(-lambda s^alpha I(r; alpha)), where s is the retention: p for a
+    thinned void curve, 1 - z for a count p.g.f.
 
     One bounded Levenberg-Marquardt over (alpha, lambda) with the exact
     Jacobian runs every fit; the objective picks its residuals.  direct-ls
@@ -339,10 +314,10 @@ def _fit_ls(radii, idx, s, ghat, mu0, objective, method):
     alpha mid-box and at the lambda that minimizes the log residuals there,
     max(0, -sum(x*y)/sum(x^2)) for y = log G_hat.
     """
-    if not np.all((s > 0.0) & (s <= 1.0)):
+    if not np.all((retentions > 0.0) & (retentions <= 1.0)):
         raise ValidationError("retention probability must lie in (0, 1], "
                               "i.e. z in [0, 1)")
-    if ghat.shape != s.shape:
+    if ghat.shape != idx.shape[1:]:
         raise ValidationError("need one G_hat value per (r, s) point")
     if not np.all((ghat >= 0.0) & (ghat <= 1.0)):
         raise ValidationError("G_hat values must lie in [0, 1]")
@@ -355,23 +330,25 @@ def _fit_ls(radii, idx, s, ghat, mu0, objective, method):
     coverage = prepare_coverage(mu0, radii, alpha_min=_ALPHA_BOUNDS[0])
     pos = ghat > 0.0
     y = np.log(ghat[pos])
-    log_s = np.log(s)
+    log_s = np.log(retentions)
+    r_pos, s_pos = idx[:, pos]
+    r_idx, s_idx = (r_pos, s_pos) if objective == "log-profiled-ls" else idx
 
     def residuals(theta):
         # x = s^alpha I(r; alpha), dx/dalpha = s^alpha (I log s + dI/dalpha).
         alpha, lam = theta
         cov, dcov = coverage.values_and_derivatives(alpha)
-        s_alpha = s ** alpha
-        x = s_alpha * cov[idx]
-        dx = s_alpha * (cov[idx] * log_s + dcov[idx])
+        s_alpha = (retentions ** alpha)[s_idx]
+        cov = cov[r_idx]
+        x = s_alpha * cov
+        dx = s_alpha * (cov * log_s[s_idx] + dcov[r_idx])
         if objective == "log-profiled-ls":
-            x, dx = x[pos], dx[pos]
-            return y + lam * x, np.column_stack([lam * dx, x])
+            return y + lam * x, np.array([lam * dx, x])
         model = np.exp(-lam * x)
-        return ghat - model, np.column_stack([lam * model * dx, model * x])
+        return ghat - model, np.array([lam * model * dx, model * x])
 
     alpha0 = 0.5 * (_ALPHA_BOUNDS[0] + _ALPHA_BOUNDS[1])
-    x0 = (s ** alpha0 * coverage.values(alpha0)[idx])[pos]
+    x0 = (retentions ** alpha0)[s_pos] * coverage.values(alpha0)[r_pos]
     lam0 = max(0.0, float(-(x0 @ y) / max(float(x0 @ x0), 1e-300))) or 1.0
     res = optimize.minimize(residuals, [alpha0, lam0],
                             bounds=[_ALPHA_BOUNDS, (0.0, np.inf)],
@@ -383,25 +360,50 @@ def _fit_ls(radii, idx, s, ghat, mu0, objective, method):
 def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None):
     """Least-squares fit of (alpha, lambda) to void-probability curves.
 
-    `data` is either a DistanceProfile (curves are built internally, one per
-    entry of `p_values`, default p=1 only) or a mapping p -> ContactCurve.
-    The model value at (r, p) is exp(-lambda p^alpha I(r; alpha)), fitted
-    with `objective` "direct-ls" or "log-profiled-ls" as in `_fit_ls`.  Fewer
-    than 2 points with 0 < G_hat < 1 raise DegenerateDataError, and a profile
-    whose test points are not of mu0's dimension raises ValidationError.
+    `data` is either a DistanceProfile, whose curves at `p_values` (default
+    p=1 only) on `radii` (default: its distinct positive nearest distances)
+    share one count histogram, or a mapping p -> ContactCurve.  The model
+    value at (r, p) is exp(-lambda p^alpha I(r; alpha)), fitted with
+    `objective` "direct-ls" or "log-profiled-ls" as in `_fit_ls`.  Fewer than
+    2 points with 0 < G_hat < 1 raise DegenerateDataError; a profile whose
+    test points are not of mu0's dimension, or radii that are not finite,
+    positive and strictly increasing, raise ValidationError.
     """
-    if (isinstance(data, DistanceProfile)
-            and mu0.dimension != data.test_points.shape[1]):
-        raise ValidationError("mu0 dimension does not match the test points")
-    curves = _collect_curves(data, p_values, radii)
-    # The leading empty array lets a map without curves reach the
-    # degenerate-data rule.
-    empty = [np.zeros(0)]
-    r = np.concatenate(empty + [c.radii for _, c in curves])
-    s = np.concatenate(empty + [np.full(c.radii.size, p) for p, c in curves])
-    ghat = np.concatenate(empty + [c.values for _, c in curves])
-    unique_r, idx = np.unique(r, return_inverse=True)
-    return _fit_ls(unique_r, idx, s, ghat, mu0, objective, "void-" + objective)
+    if isinstance(data, DistanceProfile):
+        if mu0.dimension != data.test_points.shape[1]:
+            raise ValidationError("mu0 dimension does not match the profile")
+        if radii is None:
+            # Distinct positive distances; np.unique would import numpy.ma.
+            radii = np.sort(data.nearest)
+            radii = radii[(radii > 0) & (radii != np.append(radii[1:], np.inf))]
+        radii = np.asarray(radii, dtype=float)
+        # NaN fails both tests; the first difference is r_0 - 0.
+        if radii.ndim != 1 or not np.all((np.diff(radii, prepend=0.0) > 0)
+                                         & (radii < np.inf)):
+            raise ValidationError("radii must be finite, positive and "
+                                  "strictly increasing")
+        p = np.array([1.0] if p_values is None else p_values, dtype=float)
+        freq = _count_freq(data, radii)
+        ghat = np.empty((p.size, radii.size))
+        for j in range(p.size):  # a comprehension frame moves the warning
+            ghat[j] = _thinned_values(freq, p[j], data.depth_clamped)
+        # Point j R + i is (radii[i], p[j]).
+        idx = np.indices(ghat.shape).reshape(2, -1)[::-1]
+        ghat = ghat.ravel()
+    elif hasattr(data, "items"):
+        p = np.array(list(data), dtype=float)
+        curves = list(data.values())
+        # The leading empty arrays let a map without curves reach the
+        # degenerate-data rule.
+        radii, r_idx = np.unique(np.concatenate(
+            [np.zeros(0)] + [c.radii for c in curves]), return_inverse=True)
+        s_idx = np.repeat(np.arange(p.size), [c.radii.size for c in curves])
+        idx = np.array([r_idx, s_idx])
+        ghat = np.concatenate([np.zeros(0)] + [c.values for c in curves])
+    else:
+        raise ValidationError("expected a DistanceProfile or a "
+                              "{p: ContactCurve} map")
+    return _fit_ls(radii, p, idx, ghat, mu0, objective, "void-" + objective)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +418,7 @@ def fit_pgf_curve(z_grid, g_values, mu0, radius):
     not one per z raise ValidationError.
     """
     z = np.asarray(z_grid, dtype=float)
-    return _fit_ls([radius], np.zeros(z.size, dtype=int), 1.0 - z,
+    return _fit_ls([radius], 1.0 - z, np.indices((1, z.size)).reshape(2, -1),
                    np.asarray(g_values, dtype=float), mu0, "log-profiled-ls",
                    "count-pgf")
 

@@ -354,16 +354,6 @@ class ContactCurve:
         for r, g in zip(self.radii, self.values):
             stream.write((COORD_FMT + "," + COORD_FMT + "\n") % (r, g))
 
-    @classmethod
-    def from_csv(cls, stream):
-        reader = csv.reader(stream)
-        header = next(reader)
-        if [h.strip() for h in header] != ["r", "G"]:
-            raise ParseError("expected header 'r,G'", line=1)
-        rows = [(float(a), float(b)) for a, b in reader]
-        r, g = zip(*rows) if rows else ((), ())
-        return cls(np.asarray(r), np.asarray(g))
-
 
 # ---------------------------------------------------------------------------
 # Point-pattern CSV format: header x[,y[,z]][,cluster], one point per row.

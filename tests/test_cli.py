@@ -353,15 +353,21 @@ _LOADED = "\n".join([
 
 
 def test_gaussian_pgf_fit_loads_no_scipy(tmp_path):
+    # Nor any numpy.ma or numpy.random module beyond those a bare
+    # `import numpy` loads (numpy 1.x loads both eagerly).
     pat = simulate_gauss(tmp_path)
     script = "\n".join([
         _LOADED,
+        "import numpy",
+        "base = set(sys.modules)",
         "import tasproc.cli",
         "code = tasproc.cli.main(['fit', '--in', sys.argv[1], '--method', "
         "'pgf', '--mu0', 'gauss:2:1', '--out', sys.argv[1] + '.fit.json'])",
-        "print(json.dumps([code, loaded()]))",
+        "extra = sorted(m for m in set(sys.modules) - base",
+        "               if m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random']))",
+        "print(json.dumps([code, loaded(), extra]))",
     ])
-    assert _run_fresh(script, pat) == [[EXIT_OK, []]]
+    assert _run_fresh(script, pat) == [[EXIT_OK, [], []]]
 
 
 def test_simulate_and_void_fit_load_only_the_scipy_they_use(tmp_path):

@@ -35,7 +35,6 @@ from tasproc import (
     sibuya_variates,
     simulate_tas,
     thinned_contact_analytic,
-    thinned_contact_closed_form,
     thinned_contact_estimate,
 )
 from tasproc import estimation
@@ -49,6 +48,13 @@ from tasproc.experiments import (
     TABLE1_WINDOW,
 )
 from tasproc.model import DistanceProfile
+
+
+def closed_form_contact(profile, p, radii):
+    """(1/n) sum_i (1-p)^{N_i(r)}, with N_i(r) counted directly: the oracle
+    of the count histogram behind thinned_contact_estimate."""
+    counts = np.sum(profile.distances[:, :, None] <= np.asarray(radii), axis=1)
+    return np.mean((1.0 - p) ** counts, axis=0)
 
 
 def pattern_1d(coords, lo=-100, hi=100):
@@ -126,8 +132,8 @@ class TestThinnedContact:
             radii = np.sort(gen.uniform(0.2, 4.5, 7))
             p = gen.uniform(0.05, 1.0)
             a = thinned_contact_estimate(profile, p, radii)
-            b = thinned_contact_closed_form(profile, p, radii)
-            assert np.max(np.abs(a.values - b.values)) < 1e-12
+            b = closed_form_contact(profile, p, radii)
+            assert np.max(np.abs(a.values - b)) < 1e-12
 
     def test_shallow_depth_warns(self):
         profile = DistanceProfile([[0.0]], [[1.0, 3.0]])
@@ -146,8 +152,8 @@ class TestThinnedContact:
             warnings.simplefilter("error")
             curve = thinned_contact_estimate(profile, 0.3, radii)
             fit_void(profile, UniformInterval(1.0), p_values=[0.3, 1.0])
-        brute = thinned_contact_closed_form(profile, 0.3, radii)
-        assert np.max(np.abs(curve.values - brute.values)) < 1e-15
+        brute = closed_form_contact(profile, 0.3, radii)
+        assert np.max(np.abs(curve.values - brute)) < 1e-15
 
 
 @st.composite
@@ -180,8 +186,8 @@ class TestCountTransformProperties:
     def test_matches_closed_form(self, case, p):
         profile, radii = case
         a = thinned_contact_estimate(profile, p, radii)
-        b = thinned_contact_closed_form(profile, p, radii)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-12
+        b = closed_form_contact(profile, p, radii)
+        assert np.max(np.abs(a.values - b)) <= 1e-12
 
     def test_tiny_retention_stays_in_unit_interval(self):
         # Count frequencies 0.1 + 0.2 + 0.4 + 0.3 round to one ulp above 1,
@@ -208,6 +214,45 @@ class TestCountTransformProperties:
         radii = profile.distances.max() + 0.25 * np.array(sorted(steps))
         curve = thinned_contact_estimate(profile, p, radii)
         assert np.all(curve.values == (1.0 - p) ** profile.depth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_profiles_and_radii(), st.booleans())
+    def test_count_histogram_is_brute_force(self, case, clamped):
+        profile, radii = case
+        profile = DistanceProfile(profile.test_points, profile.distances,
+                                  depth_clamped=clamped)
+        n = profile.distances.shape[0]
+        counts = np.sum(profile.distances[:, :, None] <= radii, axis=1)
+        brute = np.array([np.bincount(c, minlength=profile.depth + 1)
+                          for c in counts.T])
+        freq = estimation._count_freq(profile, radii)
+        # Equal to the integer counts over n bit for bit; (k / n) * n itself
+        # need not round back to k (1 / 49 * 49 < 1).
+        assert freq.flags.c_contiguous
+        assert np.array_equal(freq, brute / n)
+        assert np.array_equal(np.rint(freq * n), brute)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_profiles_and_radii(), st.booleans(),
+           st.lists(retention, min_size=1, max_size=4, unique=True),
+           st.sampled_from(["direct-ls", "log-profiled-ls"]))
+    def test_profile_fit_is_curve_map_fit(self, case, clamped, p_values,
+                                          objective):
+        profile, radii = case
+        profile = DistanceProfile(profile.test_points, profile.distances,
+                                  depth_clamped=clamped)
+        radii = radii[radii > 0]
+        curves = {p: thinned_contact_estimate(profile, p, radii)
+                  for p in p_values}
+        outcomes = []
+        for data in (profile, curves):
+            try:
+                outcomes.append(repr(fit_void(
+                    data, UniformInterval(1.0), p_values=p_values,
+                    objective=objective, radii=radii)))
+            except DegenerateDataError as exc:
+                outcomes.append(repr(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def _reject_constant(name):
@@ -323,6 +368,48 @@ class TestFitVoid:
         for field in ("alpha_hat", "lambda_hat", "objective_value"):
             assert getattr(a, field) == pytest.approx(getattr(b, field),
                                                       rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("radii", [
+        [2.0, 1.0], [1.0, 1.0, 2.0], [np.nan, 1.0], [1.0, np.nan], [np.nan],
+        [0.0, 0.5, 1.0, 2.0], [-1.0, 1.0, 2.0], [1.0, np.inf],
+        [[0.5, 1.0]]])
+    def test_profile_radii_validated(self, radii):
+        with pytest.raises(ValidationError):
+            fit_void(self.thinned_profile(), self.mu0, p_values=[0.5, 1.0],
+                     radii=radii)
+
+    def test_depth_tail_warning_names_the_call(self):
+        profile = self.thinned_profile()
+        radii = np.unique(profile.nearest)[1:]
+        with pytest.warns(UserWarning, match="profile depth") as record:
+            thinned_contact_estimate(profile, 0.05, radii)
+        with pytest.warns(UserWarning, match="profile depth") as fit_record:
+            fit_void(profile, self.mu0, p_values=[0.05, 1.0])
+        assert [w.filename for w in list(record) + list(fit_record)] == [
+            __file__, __file__]
+
+    def test_zero_jacobian_row_is_held(self):
+        # The LM reaches lambda = 0, where the alpha row of the Jacobian is
+        # zero and the damped system is singular; alpha is held there.
+        from tasproc.model import ContactCurve
+        fit = fit_void({0.5: ContactCurve([2.0, 2.25], [0.75, 0.5])},
+                       self.mu0)
+        assert 0.01 <= fit.alpha_hat <= 0.999
+        assert 0.0 <= fit.lambda_hat < np.inf
+
+    def test_subnormal_retention_fit_stays_in_range(self):
+        # At p = 5e-324 the log-profiled Jacobian spans hundreds of decades,
+        # where Cramer's rule for the step overflows.
+        dist = np.array([[0.0] * 9] * 2 + [[0.0] * 6 + [2.25] * 3] * 2
+                        + [[0.0] * 7 + [2.25] * 2] * 8)
+        profile = DistanceProfile(np.zeros((12, 1)), dist)
+        with pytest.warns(UserWarning, match="profile depth"):
+            fit = fit_void(profile, self.mu0, p_values=[5e-324],
+                           radii=[1.0, 2.0], objective="log-profiled-ls")
+        assert fit.converged
+        assert fit.alpha_hat == 0.01
+        assert fit.lambda_hat == pytest.approx(3.678366383365465e-14,
+                                               rel=1e-6)
 
     def test_degenerate_data_rejected(self):
         from tasproc.model import ContactCurve

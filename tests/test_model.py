@@ -203,6 +203,14 @@ class TestPatternCsv:
         assert back.labels == pattern.labels
 
 
+def curve_from_csv(stream):
+    """Read `ContactCurve.to_csv` output back into a ContactCurve."""
+    reader = csv.reader(stream)
+    assert next(reader) == ["r", "G"]
+    r, g = zip(*[(float(a), float(b)) for a, b in reader])
+    return ContactCurve(np.asarray(r), np.asarray(g))
+
+
 class TestContactCurve:
     def test_invariants(self):
         with pytest.raises(ValidationError):
@@ -216,13 +224,13 @@ class TestContactCurve:
             with pytest.raises(ValidationError):
                 ContactCurve(radii, values)
         with pytest.raises(ValidationError):
-            ContactCurve.from_csv(io.StringIO("r,G\n1,nan\n"))
+            curve_from_csv(io.StringIO("r,G\n1,nan\n"))
 
     def test_csv_roundtrip(self):
         curve = ContactCurve([0.5, 1.0, 2.0], [0.9, 0.5, 0.1])
         buf = io.StringIO()
         curve.to_csv(buf)
         buf.seek(0)
-        back = ContactCurve.from_csv(buf)
+        back = curve_from_csv(buf)
         assert np.array_equal(back.radii, curve.radii)
         assert np.array_equal(back.values, curve.values)
