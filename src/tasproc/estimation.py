@@ -5,7 +5,6 @@ fitting, the cluster-size alpha estimator, and empirical mu0 recovery.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
@@ -141,81 +140,38 @@ def distance_profile(pattern, test_points, depth=1, method="kdtree"):
     return DistanceProfile(test_points, dist, depth_clamped=clamped)
 
 
-def _ball_counts(points, centres, radius):
-    """#{j : sum((points[j] - centres[i])**2) <= radius**2} for each centre i.
+def _ball_counts(points, window, n_target, radius):
+    """#{j : sum((points[j] - c)**2) <= radius**2} for each centre c of
+    `window.grid_points(n_target)`, in its order.
 
-    A fixed-radius cell list (Bentley, Stanat & Williams, Inf. Process.
-    Lett. 6(6), 1977): the points are binned into cells at least `radius`
-    wide and sorted by row-major cell key, so the 3 cells of one row along
-    the last axis are one slice.  Each centre tests the points in the
-    3^(d-1) rows around its cell, in blocks of `_BALL_BLOCK` pairs.  The
-    grid is coarsened to at most 2^min(20, 60 // d) cells per axis, which
-    keeps keys and cell coordinates exact; coarser cells only test more
-    candidates.
+    On an axis of step h, the centres within `radius` of x lie at most
+    floor(radius/h + 1/2) indices from the centre nearest x; a 2^-20 margin
+    absorbs rounding in x's index.  Each point tests that run of centres per
+    axis, shifted to stay on the grid, in blocks of about `_BALL_BLOCK`
+    (point, centre) pairs.
     """
-    m, d = centres.shape
-    counts = np.zeros(m, dtype=np.int64)
-    if points.shape[0] == 0 or m == 0:
-        return counts
-    lo = points.min(axis=0)
-    extent = float(np.max(points.max(axis=0) - lo))
-    # The 2^-20 margin keeps any pair the distance test accepts within one
-    # cell per axis despite rounding in the cell coordinates.  The floor of
-    # 2^-500 (about 3e-151) covers squares that underflow: whatever the
-    # radius, the test accepts offsets up to about 1.5e-154.
-    side = max(radius * (1.0 + 2.0 ** -20),
-               extent / 2.0 ** min(20, 60 // d), 2.0 ** -500)
-    key = np.zeros(points.shape[0], dtype=np.int64)
-    shape, centre_cells = [], []
-    for k in range(d):
-        cell = ((points[:, k] - lo[k]) / side).astype(np.int64)
-        shape.append(int(cell.max()) + 1)
-        key *= shape[k]
-        key += cell
-        centre_cells.append(np.clip((centres[:, k] - lo[k]) / side, 0,
-                                    shape[k] - 1).astype(np.int64))
-    order = np.argsort(key)
-    key = key[order]
-    cols = [points[order, k] for k in range(d)]
-    del order
-
-    # One segment of sorted points per (row offset, centre).
-    last = centre_cells[-1]
-    first_cell = np.maximum(last - 1, 0)
-    last_cell = np.minimum(last + 1, shape[-1] - 1)
-    starts, stops = [], []
-    for offset in itertools.product((-1, 0, 1), repeat=d - 1):
-        row = np.zeros(m, dtype=np.int64)
-        inside = np.ones(m, dtype=bool)
-        for k, step in enumerate(offset):
-            cell = centre_cells[k] + step
-            inside &= (cell >= 0) & (cell < shape[k])
-            row = row * shape[k] + cell
-        row *= shape[-1]
-        start = np.searchsorted(key, row + first_cell, side="left")
-        stop = np.searchsorted(key, row + last_cell, side="right")
-        starts.append(start)
-        stops.append(np.where(inside, stop, start))
-    del key
-    starts, stops = np.concatenate(starts), np.concatenate(stops)
-    owner = np.tile(np.arange(m), 3 ** (d - 1))
-    lengths = stops - starts
-    ends = np.cumsum(lengths)
-    # Candidate c of the concatenated segments is point c + shift[segment].
-    shift = starts - (ends - lengths)
+    axes = window.grid_axes(n_target)
+    d = len(axes)
+    widths = [min(2 * int(min(radius / step + 0.5 + 2.0 ** -20, c.size)) + 1,
+                  c.size) for _, step, c in axes]
+    counts = np.zeros(int(np.prod([c.size for _, _, c in axes])),
+                      dtype=np.int64)
+    chunk = max(1, _BALL_BLOCK // int(np.prod(widths)))
     r2 = radius * radius
-    for b0 in range(0, int(ends[-1]), _BALL_BLOCK):
-        b1 = min(b0 + _BALL_BLOCK, int(ends[-1]))
-        s0 = int(np.searchsorted(ends, b0, side="right"))
-        s1 = int(np.searchsorted(ends, b1 - 1, side="right")) + 1
-        span = (np.minimum(ends[s0:s1], b1)
-                - np.maximum(ends[s0:s1] - lengths[s0:s1], b0))
-        idx = np.arange(b0, b1) + np.repeat(shift[s0:s1], span)
-        own = np.repeat(owner[s0:s1], span)
-        d2 = (cols[0][idx] - centres[own, 0]) ** 2
-        for k in range(1, d):
-            d2 += (cols[k][idx] - centres[own, k]) ** 2
-        counts += np.bincount(own[d2 <= r2], minlength=m)
+    for b0 in range(0, points.shape[0], chunk):
+        block = points[b0:b0 + chunk]
+        d2 = flat = 0
+        for k, ((lo, step, centres), w) in enumerate(zip(axes, widths)):
+            x = block[:, k]
+            start = np.clip(np.rint((x - lo) / step - 0.5) - (w - 1) // 2,
+                            0, centres.size - w).astype(np.int64)
+            idx = start[:, None] + np.arange(w)
+            # Axis k of the candidates is array axis k + 1.
+            shape = [-1] + [1] * d
+            shape[k + 1] = w
+            d2 = d2 + ((x[:, None] - centres[idx]) ** 2).reshape(shape)
+            flat = flat * centres.size + idx.reshape(shape)
+        counts += np.bincount(flat[d2 <= r2], minlength=counts.size)
     return counts
 
 
@@ -437,11 +393,11 @@ def fit_count_pgf(pattern, radius, z_grid, mu0):
         raise ValidationError("radius must be > 0")
     if mu0.dimension != pattern.dimension:
         raise ValidationError("mu0 dimension does not match the pattern")
-    test_points = pattern.window.erode(radius).grid_points(_N_TEST_POINTS)
-    counts = _ball_counts(pattern.points, test_points, radius)
+    counts = _ball_counts(pattern.points, pattern.window.erode(radius),
+                          _N_TEST_POINTS, radius)
     ghat = ball_count_pgf(counts, z)
     result = fit_pgf_curve(z, ghat, mu0, radius)
-    result.extras["n_test_points"] = int(test_points.shape[0])
+    result.extras["n_test_points"] = int(counts.size)
     result.extras["mean_count"] = float(np.mean(counts))
     return result
 

@@ -93,9 +93,16 @@ def _void_replicate(args):
 
 
 def _run_map(worker, jobs_args, jobs):
-    if jobs and jobs > 1:
+    """[worker(a) for a in jobs_args] on up to `jobs` processes.  A pool
+    starts all its workers at once, so it gets no more than there are
+    replicates or CPUs; every replicate owns its stream, so the output does
+    not depend on the count."""
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
+    workers = min(jobs, len(jobs_args), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, jobs_args))
     return [worker(a) for a in jobs_args]
 
@@ -170,10 +177,11 @@ def _fig3_replicate(args):
     seed, stream, radius, p_grid, n_test = args
     rng = RandomSource(seed, stream)
     pattern = simulate_tas(FIG3_PARAMS, FIG3_WINDOW, rng, n_max=HARNESS_N_MAX)
-    # Erode by the ball radius so every test ball is fully observed.
-    test_points = grid_test_points(FIG3_WINDOW.erode(radius), n_test)
-    # Exact ball counts give the depth-free closed form (1/n) sum (1-p)^N_i.
-    counts = _ball_counts(pattern.points, test_points, radius)
+    # Exact counts in balls around a grid on the window eroded by the radius,
+    # so every ball is fully observed, give the depth-free closed form
+    # (1/n) sum (1-p)^N_i.
+    counts = _ball_counts(pattern.points, FIG3_WINDOW.erode(radius), n_test,
+                          radius)
     alpha = FIG3_PARAMS.alpha
     g_thinned = ball_count_pgf(counts, [1.0 - p for p in p_grid])
     return [float(g ** (p ** -alpha)) for g, p in zip(g_thinned, p_grid)]

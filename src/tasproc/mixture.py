@@ -187,20 +187,23 @@ def fit_gaussian_mixture(points, k, rng, window=None, noise=False):
 def em_estimate_mu0(pattern, k_range, noise=False, rng=None):
     """Fit mixtures for each component count in k_range and pick by BIC.
 
-    Inputs whose n points x sum(k_range) x d dimensions exceed the work
-    budget of 4.5e6 are refused before any EM step.
+    An empty k_range, or inputs whose n points x sum(k_range) x d dimensions
+    exceed the work budget of 4.5e6, are refused before any EM step.
     """
     if rng is None:
         raise ValidationError("an explicit RandomSource is required")
+    k_range = [int(k) for k in k_range]
+    if not k_range:
+        raise ValidationError("the component range is empty")
     n, d = pattern.points.shape
-    work = n * sum(int(k) for k in k_range) * d
+    work = n * sum(k_range) * d
     if work > _MAX_EM_WORK:
         raise ValidationError(
             "EM work n * sum(k) * d = %d exceeds the budget of %d; fit fewer "
             "points or fewer components" % (work, _MAX_EM_WORK))
     best = None
     for k in k_range:
-        model = fit_gaussian_mixture(pattern.points, int(k), rng,
+        model = fit_gaussian_mixture(pattern.points, k, rng,
                                      window=pattern.window, noise=noise)
         if best is None or model.bic < best.bic:
             best = model

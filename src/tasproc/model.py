@@ -112,15 +112,21 @@ class Window:
         hi = np.asarray(self.upper)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
 
-    def grid_points(self, n_target):
-        """Roughly n_target cell-centre grid points covering the window."""
-        d = self.dimension
-        per_dim = max(1, round(n_target ** (1.0 / d)))
+    def grid_axes(self, n_target):
+        """Per axis, (lower, step, centres) of the cell-centre grid of
+        `grid_points`: centre i is lower + step * (i + 1/2)."""
+        per_dim = max(1, round(n_target ** (1.0 / self.dimension)))
         axes = []
         for lo, hi in zip(self.lower, self.upper):
             step = (hi - lo) / per_dim
-            axes.append(lo + step * (np.arange(per_dim) + 0.5))
-        mesh = np.meshgrid(*axes, indexing="ij")
+            axes.append((lo, step, lo + step * (np.arange(per_dim) + 0.5)))
+        return axes
+
+    def grid_points(self, n_target):
+        """Roughly n_target cell-centre grid points covering the window, in
+        row-major order of their per-axis indices."""
+        mesh = np.meshgrid(*[c for _, _, c in self.grid_axes(n_target)],
+                           indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def to_json_dict(self):

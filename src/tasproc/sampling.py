@@ -117,11 +117,27 @@ def sibuya_variates(alpha, size, rng, n_max=None):
     return nu
 
 
+# A volume or mean past the float range is inf, and refused as such.
+@np.errstate(over="ignore")
 def sample_poisson_centres(lam, region, rng):
-    """Homogeneous Poisson sample on a window: Poisson count, uniform positions."""
+    """Homogeneous Poisson sample on a window: Poisson count, uniform positions.
+
+    A count over the simulation budget of 10^8 points is refused before any
+    position is drawn, and a mean lam * volume over twice the budget (inf
+    included) before the count is drawn: its count is below the budget with
+    probability under exp(-3e7).
+    """
     if lam <= 0:
         raise ValidationError("lambda must be > 0")
-    n = rng.generator.poisson(lam * region.volume)
+    mean = lam * region.volume
+    if not mean <= 2 * _MAX_TOTAL_POINTS:
+        raise ValidationError("centre mean lambda * volume = %g is over twice "
+                              "the budget of %d points" % (mean,
+                                                           _MAX_TOTAL_POINTS))
+    n = rng.generator.poisson(mean)
+    if n > _MAX_TOTAL_POINTS:
+        raise ValidationError("simulation would draw %d centres, over the "
+                              "budget of %d points" % (n, _MAX_TOTAL_POINTS))
     lo = np.asarray(region.lower)
     hi = np.asarray(region.upper)
     return rng.generator.uniform(lo, hi, size=(n, region.dimension))
@@ -143,8 +159,8 @@ def simulate_tas(params, window, rng, buffer=None, keep_labels=False, n_max=None
     recommended = mu0.effective_radius
     if buffer is None:
         buffer = recommended
-    if buffer < 0:
-        raise ValidationError("buffer must be >= 0")
+    if not 0 <= buffer < np.inf:
+        raise ValidationError("buffer must be finite and >= 0")
     trunc_before = rng.truncation_count
 
     centres = sample_poisson_centres(params.lam, window.dilate(buffer), rng)

@@ -311,6 +311,15 @@ class TestReplicate:
         assert "replicates must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_fewer_than_one_job_is_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "fig3.csv"
+        code = main(["replicate", "fig3", "--reps", "2", "--jobs", jobs,
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_table1_small_run(self, tmp_path, capsys):
         code = main(["replicate", "table1", "--reps", "1", "--seed", "0",
                      "--out", str(tmp_path)])
@@ -341,7 +350,7 @@ def _run_fresh(script, *args):
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()
-            if not line.startswith(("wrote", "alpha_hat"))]
+            if not line.startswith(("wrote", "alpha_hat", "p="))]
 
 
 _LOADED = "\n".join([
@@ -406,6 +415,18 @@ def test_simulate_and_void_fit_load_only_the_scipy_they_use(tmp_path):
     assert "scipy.spatial" in fitted and not never & set(fitted), fitted
 
 
+def test_fig3_replicate_loads_no_scipy_spatial(tmp_path):
+    # Its ball counts run on the test grid; only k-NN profiles need the tree.
+    script = "\n".join([
+        _LOADED,
+        "import tasproc.cli",
+        "code = tasproc.cli.main(['replicate', 'fig3', '--reps', '1', "
+        "'--out', sys.argv[1]])",
+        "print(json.dumps([code, 'scipy.spatial' in loaded()]))",
+    ])
+    assert _run_fresh(script, tmp_path / "fig3.csv") == [[EXIT_OK, False]]
+
+
 def test_em_over_work_budget_is_usage_error(tmp_path, capsys):
     pat = tmp_path / "pat.csv"
     pattern = tasproc.PointPattern(
@@ -417,3 +438,10 @@ def test_em_over_work_budget_is_usage_error(tmp_path, capsys):
                  "--method", "em-mu0", "--k", "1:50"])
     assert code == EXIT_USAGE
     assert "budget of 4500000" in capsys.readouterr().err
+
+
+def test_em_empty_component_range_is_usage_error(tmp_path, capsys):
+    pat = run_simulate(tmp_path)
+    code = main(["fit", "--in", str(pat), "--method", "em-mu0", "--k", "3:1"])
+    assert code == EXIT_USAGE
+    assert "component range is empty" in capsys.readouterr().err

@@ -542,8 +542,7 @@ def test_pgf_fit_never_worse_than_brent(stream):
     z = np.round(np.arange(0.1, 0.95, 0.1), 10)
     pattern = simulate_tas(FIG3_PARAMS, FIG3_WINDOW, RandomSource(11, stream),
                            n_max=HARNESS_N_MAX)
-    counts = _ball_counts(pattern.points,
-                          grid_test_points(FIG3_WINDOW.erode(1.0), 400), 1.0)
+    counts = _ball_counts(pattern.points, FIG3_WINDOW.erode(1.0), 400, 1.0)
     g = ball_count_pgf(counts, z)
     fit = fit_pgf_curve(z, g, mu0, 1.0)
     brent = _brent_profiled_sse(np.array([1.0]), np.zeros(z.size, dtype=int),
@@ -569,24 +568,32 @@ class TestBallCountPgf:
 
 @st.composite
 def ball_count_cases(draw):
-    """Points on a coarse lattice (ties at distance exactly r, duplicates)
-    or anywhere in [-4, 4]^d, centres reaching outside the points' box, and
-    radii from 0 to far below and far above the extent."""
+    """A grid window of up to 12 centres per axis, points on a coarse lattice
+    (ties at distance exactly r, points on centres, duplicates) or anywhere,
+    reaching far outside the window, and radii from 0 to far below and far
+    above the extent."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(0, 40))
-    m = draw(st.integers(1, 12))
-    coord = st.one_of(st.integers(-4, 4).map(float),
-                      st.floats(-4.0, 4.0, allow_subnormal=False))
+    lower = np.array(draw(st.lists(st.integers(-9, 9), min_size=d,
+                                   max_size=d)), dtype=float)
+    sides = np.array(draw(st.lists(st.integers(1, 12), min_size=d,
+                                   max_size=d)), dtype=float)
+    n_target = draw(st.integers(1, 12 ** d))
+    coord = st.one_of(st.integers(-24, 24).map(lambda v: v / 2.0),
+                      st.floats(-30.0, 30.0, allow_subnormal=False))
     points = np.reshape(draw(st.lists(coord, min_size=n * d,
                                       max_size=n * d)), (n, d))
-    centres = np.reshape(draw(st.lists(st.integers(-9, 9).map(float),
-                                       min_size=m * d, max_size=m * d)),
-                         (m, d))
     scale = 2.0 ** draw(st.integers(-3, 3))
-    radius = draw(st.one_of(st.integers(0, 6).map(float),
+    radius = draw(st.one_of(st.integers(0, 6).map(lambda v: v / 2.0),
                             st.floats(0.0, 20.0),
                             st.sampled_from([1e-12, 1e-7, 1e7, 1e12])))
-    return points * scale, centres * scale, radius * scale
+    window = Window(lower * scale, (lower + sides) * scale)
+    return points * scale, window, n_target, radius * scale
+
+
+def brute_ball_counts(points, centres, radius):
+    d2 = np.sum((points[None, :, :] - centres[:, None, :]) ** 2, axis=2)
+    return np.count_nonzero(d2 <= radius * radius, axis=1)
 
 
 class TestBallCounts:
@@ -594,40 +601,89 @@ class TestBallCounts:
     @given(ball_count_cases(), st.sampled_from([1, 5, 64, 1 << 20]))
     # Squares that underflow to 0 put a point at distance 2e-256 inside the
     # ball of radius 0, and one at 3e-170 inside the ball of radius 1e-180.
-    @example((np.array([[0.0], [1.98676368e-256]]), np.array([[0.0]]), 0.0),
-             1 << 20)
+    @example((np.array([[0.0], [1.98676368e-256]]), Window([-1.0], [1.0]), 1,
+              0.0), 1 << 20)
     @example((np.array([[0.0, 0.0], [1e-200, 0.0], [3e-170, 0.0]]),
-              np.array([[0.0, 0.0]]), 1e-180), 1 << 20)
+              Window([-1.0, -1.0], [1.0, 1.0]), 1, 1e-180), 1 << 20)
     def test_matches_brute_force(self, case, block):
-        # Small blocks split segments across blocks.
-        points, centres, radius = case
-        d2 = np.sum((points[None, :, :] - centres[:, None, :]) ** 2, axis=2)
-        brute = np.count_nonzero(d2 <= radius * radius, axis=1)
+        # Small blocks split the points into blocks of one or a few.
+        points, window, n_target, radius = case
+        brute = brute_ball_counts(points, window.grid_points(n_target), radius)
         with mock.patch.object(estimation, "_BALL_BLOCK", block):
-            counts = _ball_counts(points, centres, radius)
+            counts = _ball_counts(points, window, n_target, radius)
         assert np.array_equal(counts, brute)
 
     def test_lattice_ties_and_duplicates(self):
-        # Every lattice neighbour at distance exactly 1 counts, twice over.
-        grid = np.stack(np.meshgrid(*[np.arange(-3.0, 4.0)] * 2), -1)
-        points = np.concatenate([grid.reshape(-1, 2)] * 2)
-        counts = _ball_counts(points, np.array([[0.0, 0.0], [-3.0, 3.0],
-                                                [5.0, 0.0]]), 1.0)
-        assert counts.tolist() == [10, 6, 0]
+        # Every lattice neighbour at distance exactly 1 counts, twice over;
+        # the grid centres are the integers -5..5 per axis.
+        lattice = np.stack(np.meshgrid(*[np.arange(-3.0, 4.0)] * 2), -1)
+        points = np.concatenate([lattice.reshape(-1, 2)] * 2)
+        window = Window([-5.5, -5.5], [5.5, 5.5])
+        counts = _ball_counts(points, window, 121, 1.0).reshape(11, 11)
+        # Centres (0, 0), (-3, 3), (4, 0) and (5, 0).
+        assert [counts[5, 5], counts[2, 8], counts[9, 5], counts[10, 5]] == [
+            10, 6, 2, 0]
+        assert np.array_equal(counts.ravel(), brute_ball_counts(
+            points, window.grid_points(121), 1.0))
+
+    def test_radius_within_rounding_of_a_run_edge(self):
+        # At r = (K - 1/2) steps, give or take an ulp, a point that the
+        # distance test puts in a centre's ball can round to an index K away
+        # from that centre.
+        gen = np.random.default_rng(7)
+        for _ in range(500):
+            lo = gen.uniform(-1e3, 1e3)
+            window = Window([lo], [lo + gen.uniform(0.1, 50.0)])
+            n_target = int(gen.integers(2, 30))
+            (_, step, centres), = window.grid_axes(n_target)
+            radius = ((gen.integers(1, 5) - 0.5) * step
+                      * (1.0 + gen.integers(-4, 5) * 2.0 ** -52))
+            x = (centres[gen.integers(0, centres.size, 50)]
+                 + gen.choice([-1.0, 1.0], 50) * radius)
+            points = (x + gen.integers(-3, 4, 50) * np.spacing(x))[:, None]
+            assert np.array_equal(
+                _ball_counts(points, window, n_target, radius),
+                brute_ball_counts(points, centres[:, None], radius))
 
     def test_empty_pattern_counts_zero(self):
-        centres = np.zeros((5, 2))
-        assert _ball_counts(np.zeros((0, 2)), centres, 1.0).tolist() == [0] * 5
+        window = Window([-1.0, -1.0], [1.0, 1.0])
+        assert _ball_counts(np.zeros((0, 2)), window, 9, 1.0).tolist() == [0] * 9
 
     def test_matches_kdtree_on_fig3_patterns(self):
-        test_points = grid_test_points(FIG3_WINDOW.erode(1.0), 400)
+        window = FIG3_WINDOW.erode(1.0)
+        test_points = grid_test_points(window, 400)
         for stream in range(12):
             pattern = simulate_tas(FIG3_PARAMS, FIG3_WINDOW,
                                    RandomSource(5, stream), n_max=HARNESS_N_MAX)
             kd = cKDTree(pattern.points).query_ball_point(
                 test_points, r=1.0, return_length=True)
             assert np.array_equal(
-                _ball_counts(pattern.points, test_points, 1.0), kd)
+                _ball_counts(pattern.points, window, 400, 1.0), kd)
+
+    @pytest.mark.parametrize("n_target", [1, 400])
+    @pytest.mark.parametrize("params, window, radius", [
+        # 1-D, 400 centres: r just over step/2, then 46 steps.
+        (TasParameters(0.6, 0.4, UniformInterval(1.0)), Window([-200], [200]),
+         0.5),
+        (TasParameters(0.6, 0.4, UniformInterval(1.0)), Window([-200], [200]),
+         37.5),
+        # 3-D, 7 centres per axis: r = step/2 exactly, then 5.8 steps.
+        (TasParameters(0.7, 0.1, IsotropicGaussian(3, 1.0)),
+         Window([-8, -8, -8], [8, 8, 8]), 1.0),
+        (TasParameters(0.7, 0.1, IsotropicGaussian(3, 1.0)),
+         Window([-8, -8, -8], [8, 8, 8]), 5.0),
+    ])
+    def test_matches_kdtree_on_pgf_grids(self, params, window, radius,
+                                         n_target):
+        # fit_count_pgf's grid on the eroded window, and a single centre.
+        eroded = window.erode(radius)
+        for stream in range(3):
+            pattern = simulate_tas(params, window, RandomSource(23, stream),
+                                   n_max=HARNESS_N_MAX)
+            kd = cKDTree(pattern.points).query_ball_point(
+                eroded.grid_points(n_target), r=radius, return_length=True)
+            assert np.array_equal(
+                _ball_counts(pattern.points, eroded, n_target, radius), kd)
 
 
 class TestFitCountPgf:

@@ -105,6 +105,12 @@ class TestEmEstimateMu0:
             em_estimate_mu0(PointPattern(pts[:1764], w), range(1, 51),
                             rng=RandomSource(0))
 
+    def test_empty_component_range_refused(self):
+        pts = np.random.default_rng(0).uniform(-10, 10, (50, 2))
+        pattern = PointPattern(pts, Window([-10, -10], [10, 10]))
+        with pytest.raises(ValidationError, match="component range is empty"):
+            em_estimate_mu0(pattern, range(3, 1), rng=RandomSource(0))
+
     def test_json_dict_roundtrips_through_json(self):
         import json
 

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tasproc import (
     thin,
     write_pattern,
 )
+from tasproc import sampling
 from tasproc.sampling import _survival_table
 
 
@@ -250,6 +252,37 @@ class TestSimulateTas:
         with pytest.raises(ValidationError, match="n_max") as exc:
             simulate_tas(params, Window([-50], [50]), RandomSource(0))
         assert total in str(exc.value)
+
+    def test_centre_count_refused_before_positions_drawn(self, monkeypatch):
+        # Every centre carries at least one point, so a centre count over the
+        # budget is refused before its positions are drawn.
+        class NeverSampled(UniformInterval):
+            def sample(self, n, generator):
+                raise AssertionError("sampled %d offsets" % n)
+
+        monkeypatch.setattr(sampling, "_MAX_TOTAL_POINTS", 100)
+        rng = RandomSource(0)
+        rng.generator = mock.Mock(wraps=rng.generator)
+        # The centre mean 1.5 * 102 is under twice the budget, so the count
+        # is drawn, and over the budget by 4 sd.
+        params = TasParameters(0.6, 1.5, NeverSampled(1.0))
+        with pytest.raises(ValidationError, match="centres, over the budget"):
+            simulate_tas(params, Window([-50], [50]), rng)
+        rng.generator.poisson.assert_called_once()
+        rng.generator.uniform.assert_not_called()
+
+    @pytest.mark.parametrize("buffer, window, match", [
+        (np.nan, Window([-50], [50]), "buffer must be finite"),
+        (np.inf, Window([-50], [50]), "buffer must be finite"),
+        (1e300, Window([-50, -50], [50, 50]), "lambda \\* volume = inf"),
+        (1e300, Window([-50], [50]), "lambda \\* volume = 8e\\+299"),
+    ])
+    def test_non_finite_buffer_or_huge_centre_mean_refused(self, buffer,
+                                                            window, match):
+        params = TasParameters(0.6, 0.4, IsotropicGaussian(window.dimension,
+                                                           1.0))
+        with pytest.raises(ValidationError, match=match):
+            simulate_tas(params, window, RandomSource(0), buffer=buffer)
 
     def test_labels_partition_points(self):
         params = TasParameters(0.6, 0.4, UniformInterval(1.0))
