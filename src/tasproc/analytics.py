@@ -115,10 +115,9 @@ class PreparedCoverage:
     """The coverage integrals I(r_i; alpha) of one mu0 on fixed radii.
 
     Made by `prepare_coverage`, which does the alpha-independent work once.
-    `integrals(alpha)` returns the values and their absolute error bounds,
-    `values(alpha)` the values alone, and `values_and_derivatives(alpha)` the
-    values with their exact alpha-derivatives dI/dalpha, from the same
-    tables (computed only when asked); alpha must lie in [alpha_min, 1].  A
+    `integrals(alpha)` returns the values, their absolute error bounds and
+    their exact alpha-derivatives dI/dalpha, all from the same tables, and
+    `values(alpha)` the values alone; alpha must lie in [alpha_min, 1].  A
     value or bound that is not finite, or a quadrature whose bound exceeds
     max(1e-6, 1e-6 |I|), raises ArithmeticError.
     """
@@ -128,9 +127,7 @@ class PreparedCoverage:
         self.alpha_min = alpha_min
         self._evaluate = evaluate
 
-    def _checked(self, alpha):
-        """(values, bounds, derivatives) at alpha; `derivatives` is a
-        function of no arguments."""
+    def integrals(self, alpha):
         if not self.alpha_min <= alpha <= 1.0:
             raise ValidationError("alpha must lie in [%g, 1], the range the "
                                   "coverage was prepared for" % self.alpha_min)
@@ -145,15 +142,8 @@ class PreparedCoverage:
                 % np.max(bounds))
         return values, bounds, derivatives
 
-    def integrals(self, alpha):
-        return self._checked(alpha)[:2]
-
     def values(self, alpha):
-        return self._checked(alpha)[0]
-
-    def values_and_derivatives(self, alpha):
-        values, _, derivatives = self._checked(alpha)
-        return values, derivatives()
+        return self.integrals(alpha)[0]
 
 
 def prepare_coverage(mu0, radii, alpha_min=0.01):
@@ -181,7 +171,7 @@ def prepare_coverage(mu0, radii, alpha_min=0.01):
 def coverage_integral(mu0, radius, alpha):
     """I(r; alpha) = int mu0(B_r - x)^alpha dx over R^d."""
     coverage = prepare_coverage(mu0, [radius], alpha_min=alpha)
-    values, bounds = coverage.integrals(alpha)
+    values, bounds, _ = coverage.integrals(alpha)
     return CoverageIntegral(float(values[0]), coverage.method, float(bounds[0]))
 
 
@@ -220,15 +210,15 @@ def _prepare_uniform(mu0, radii, alpha_min):
     log_m = np.log(m / h)
 
     def closed_form(alpha):
-        # A halfwidth near the float maximum overflows to inf, which
-        # PreparedCoverage rejects.
-        with np.errstate(over="ignore"):
+        # A halfwidth near the float maximum overflows to inf (and the
+        # derivative to inf or NaN), which PreparedCoverage rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
             plateau = 2.0 * np.abs(h - radii) * np.where(
                 radii <= h, (radii / h) ** alpha, 1.0)
             ramps = 2.0 * (2.0 * m) * (m / h) ** alpha / (alpha + 1.0)
             values = plateau + ramps
-        return (values, np.zeros(radii.size),
-                lambda: values * log_m - ramps / (alpha + 1.0))
+            derivatives = values * log_m - ramps / (alpha + 1.0)
+        return values, np.zeros(radii.size), derivatives
     return "closed-form", closed_form
 
 
@@ -473,7 +463,7 @@ def _prepare_gaussian(mu0, radii, alpha_min):
         powers = np.exp(alpha * log_fine)
         fine = np.sum(w_fine * powers, axis=1)
         return (fine, np.abs(fine - coarse) + ulps * fine,
-                lambda: np.sum(w_fine * log_fine * powers, axis=1))
+                np.sum(w_fine * log_fine * powers, axis=1))
     return "quadrature", quadrature
 
 
@@ -529,8 +519,7 @@ def _prepare_empirical(mu0, radii, alpha_min):
                      for lengths, mass, log_mass in pieces]
             return (np.array([np.sum(t) for t, _ in terms]),
                     np.zeros(radii.size),
-                    lambda: np.array([np.sum(t * log_mass)
-                                      for t, log_mass in terms]))
+                    np.array([np.sum(t * log_mass) for t, log_mass in terms]))
         return "closed-form", exact
 
     n = mu0.points.shape[0]
@@ -545,7 +534,7 @@ def _prepare_empirical(mu0, radii, alpha_min):
         mean = hists @ f / _MC_SAMPLES
         var = np.sum(hists * (f - mean[:, None]) ** 2, axis=1) / (_MC_SAMPLES - 1)
         return (vols * mean, 3.0 * vols * np.sqrt(var / _MC_SAMPLES),
-                lambda: vols * (hists @ (f * log_mass)) / _MC_SAMPLES)
+                vols * (hists @ (f * log_mass)) / _MC_SAMPLES)
     return "monte-carlo", monte_carlo
 
 

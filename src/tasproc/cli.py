@@ -57,14 +57,18 @@ def parse_mu0(text):
 
 
 def parse_range(text):
-    """lo:hi:step -> inclusive grid; needs finite bounds, step > 0 and
-    hi >= lo."""
+    """lo:hi:step -> inclusive grid; needs finite bounds, step > 0, hi >= lo
+    and at most 10^6 points."""
     lo, hi, step = (float(v) for v in text.split(":"))
     if not (0.0 < step < np.inf and -np.inf < lo <= hi < np.inf):
         raise ValidationError("range %r needs finite bounds, step > 0 and "
                               "hi >= lo" % (text,))
-    n = int(round((hi - lo) / step)) + 1
-    return np.round(lo + step * np.arange(n), 10)
+    # An infinite span fails too, before anything is allocated.
+    span = (hi - lo) / step
+    if not span < 10 ** 6 - 0.5:
+        raise ValidationError("range %r has more than 1000000 points"
+                              % (text,))
+    return np.round(lo + step * np.arange(int(round(span)) + 1), 10)
 
 
 def parse_test_points(text, window, rng):
@@ -80,7 +84,6 @@ def parse_test_points(text, window, rng):
 
 
 def _load_pattern(args):
-    window = None
     if getattr(args, "window", None):
         window = parse_window(args.window)
     else:
@@ -125,14 +128,12 @@ def cmd_fit(args):
         p_values = [1.0] if args.method == "void" else list(parse_range(args.p))
         result = estimation.fit_void(profile, mu0, p_values=p_values,
                                      objective=args.objective)
-        payload = result.to_json_dict()
     elif args.method == "pgf":
         mu0 = parse_mu0(args.mu0) if args.mu0 else None
         if mu0 is None:
             raise ValidationError("--mu0 is required for the pgf method")
         z_grid = parse_range(args.z)
         result = estimation.fit_count_pgf(pattern, args.radius, z_grid, mu0)
-        payload = result.to_json_dict()
     elif args.method == "cluster-sizes":
         if pattern.labels is None:
             raise ValidationError("cluster-sizes needs a labelled pattern")
@@ -153,6 +154,7 @@ def cmd_fit(args):
         raise ValidationError("unknown method %r" % (args.method,))
 
     if result is not None:
+        payload = result.to_json_dict()
         print("alpha_hat = %.6g, lambda_hat = %.6g" % (result.alpha_hat,
                                                        result.lambda_hat))
     if args.out:
@@ -176,8 +178,7 @@ def cmd_gcurve(args):
     rng = RandomSource(args.seed, args.stream)
     test_points = parse_test_points(args.test_points, pattern.window, rng)
     profile = estimation.distance_profile(pattern, test_points, depth=1)
-    radii = np.unique(profile.nearest)
-    radii = radii[radii > 0]
+    radii = estimation.nearest_radii(profile)
     empirical = estimation.empirical_contact(profile, radii)
     with open(args.out, "w") as fh:
         empirical.to_csv(fh)

@@ -35,6 +35,7 @@ __all__ = [
     "grid_test_points",
     "random_test_points",
     "distance_profile",
+    "nearest_radii",
     "empirical_contact",
     "thinned_contact_estimate",
     "ball_count_pgf",
@@ -178,6 +179,13 @@ def _ball_counts(points, window, n_target, radius):
 # ---------------------------------------------------------------------------
 # Contact-curve estimators
 
+def nearest_radii(profile):
+    """The distinct positive nearest distances of `profile`, ascending, where
+    its empirical contact curve steps (np.unique would import numpy.ma)."""
+    radii = np.sort(profile.nearest)
+    return radii[(radii > 0) & (radii != np.append(radii[1:], np.inf))]
+
+
 def empirical_contact(profile, radii):
     """G_hat(r) = fraction of test points whose nearest distance exceeds r:
     the p = 1 slice of `thinned_contact_estimate`."""
@@ -293,7 +301,7 @@ def _fit_ls(radii, retentions, idx, ghat, mu0, objective, method):
     def residuals(theta):
         # x = s^alpha I(r; alpha), dx/dalpha = s^alpha (I log s + dI/dalpha).
         alpha, lam = theta
-        cov, dcov = coverage.values_and_derivatives(alpha)
+        cov, _, dcov = coverage.integrals(alpha)
         s_alpha = (retentions ** alpha)[s_idx]
         cov = cov[r_idx]
         x = s_alpha * cov
@@ -328,11 +336,8 @@ def fit_void(data, mu0, p_values=None, objective="direct-ls", radii=None):
     if isinstance(data, DistanceProfile):
         if mu0.dimension != data.test_points.shape[1]:
             raise ValidationError("mu0 dimension does not match the profile")
-        if radii is None:
-            # Distinct positive distances; np.unique would import numpy.ma.
-            radii = np.sort(data.nearest)
-            radii = radii[(radii > 0) & (radii != np.append(radii[1:], np.inf))]
-        radii = np.asarray(radii, dtype=float)
+        radii = np.asarray(nearest_radii(data) if radii is None else radii,
+                           dtype=float)
         # NaN fails both tests; the first difference is r_0 - 0.
         if radii.ndim != 1 or not np.all((np.diff(radii, prepend=0.0) > 0)
                                          & (radii < np.inf)):

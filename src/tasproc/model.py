@@ -76,6 +76,9 @@ class Window:
             raise ValidationError("lower and upper must have the same dimension >= 1")
         if not all(u > l for l, u in zip(lower, upper)):
             raise ValidationError("window must have upper > lower in every coordinate")
+        # An infinite bound gives an infinite side, as does overflow.
+        if not all(u - l < np.inf for l, u in zip(lower, upper)):
+            raise ValidationError("window bounds and side lengths must be finite")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -482,4 +485,7 @@ def write_window_json(window, stream, metadata=None):
 
 def read_window_json(stream):
     obj = json.load(stream)
+    if not isinstance(obj, dict) or None in (obj.get("lower"), obj.get("upper")):
+        raise ParseError("window sidecar must be a JSON object with 'lower' "
+                         "and 'upper' bounds")
     return Window.from_json_dict(obj), obj.get("metadata", {})

@@ -67,14 +67,10 @@ def _invert_tail(alpha, u, n0):
     """Smallest n > n0 with survival(n) < u, for u <= survival(n0)."""
     from scipy.special import gammaln
     logu = np.log(u)
-    # survival(n) ~ n^-alpha / Gamma(1-alpha): first-order bracket, then grow.
+    # survival(n) < n^-alpha / Gamma(1-alpha) by Gautschi's inequality, so
+    # survival(8 approx) < 8^-alpha u < u: hi is an upper bracket.
     approx = np.exp(-(logu + gammaln(1.0 - alpha)) / alpha)
     hi = np.maximum(8.0 * approx, 2.0 * n0)
-    for _ in range(200):
-        bad = _log_survival(hi, alpha) >= logu
-        if not bad.any():
-            break
-        hi[bad] *= 8.0
     lo = np.full_like(hi, float(n0))
     # 128 halvings cover any bracket; above ~2^53 float spacing caps the
     # resolution anyway, which is immaterial that deep in the tail.

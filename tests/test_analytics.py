@@ -504,7 +504,7 @@ class TestPreparedCoverage:
         radii = [0.3, 1.0, 2.5, 6.0]
         coverage = prepare_coverage(mu0, radii, alpha_min=0.005)
         for alpha in np.random.default_rng(7).uniform(0.01, 0.999, 5):
-            values, derivatives = coverage.values_and_derivatives(alpha)
+            values, _, derivatives = coverage.integrals(alpha)
             assert np.array_equal(values, coverage.values(alpha))
             h = 1e-4 * alpha
             central = (coverage.values(alpha + h)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import tasproc
+from tasproc import estimation
 from tasproc.cli import (
+    EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
@@ -17,9 +19,11 @@ from tasproc.cli import (
     main,
     parse_mu0,
     parse_range,
+    parse_test_points,
     parse_window,
 )
 from tasproc.model import IsotropicGaussian, UniformInterval, Window
+from tasproc.sampling import RandomSource
 
 
 def simulate_gauss(tmp_path):
@@ -53,6 +57,16 @@ class TestParsers:
         assert len(grid) == 8
         assert grid[0] == 0.3
         assert grid[-1] == 1.0
+
+    def test_random_test_points_deterministic_and_inside(self):
+        window = Window([-2, 0], [3, 1])
+        first = parse_test_points("random:50", window, RandomSource(4, 2))
+        again = parse_test_points("random:50", window, RandomSource(4, 2))
+        other = parse_test_points("random:50", window, RandomSource(4, 3))
+        assert first.shape == (50, 2)
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, other)
+        assert np.all(window.contains(first))
 
     def test_help_for_each_subcommand(self, capsys):
         parser = build_parser()
@@ -91,6 +105,25 @@ class TestSimulate:
         out = run_simulate(tmp_path, extra=("--labels",))
         header = out.read_text().splitlines()[0]
         assert header == "x,cluster"
+
+    def test_cloud_mu0(self, tmp_path):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("x\n-0.5\n0\n0.5\n")
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            outs.append(tmp_path / name)
+            assert main(["simulate", "--alpha", "0.6", "--lambda", "0.4",
+                         "--mu0", "cloud:%s" % cloud, "--window=-50:50",
+                         "--seed", "5", "--labels",
+                         "--out", str(outs[-1])]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        with open(outs[0]) as fh:
+            pattern = tasproc.read_pattern(fh, Window([-50], [50]))
+        # Each cluster's points sit at cloud offsets from one centre.
+        for points in pattern.clusters().values():
+            gaps = points[:, 0] - points[0, 0]
+            assert np.allclose(2.0 * gaps, np.rint(2.0 * gaps), atol=1e-9)
+            assert np.all(np.abs(gaps) <= 1.0 + 1e-9)
 
 
 class TestFit:
@@ -153,6 +186,69 @@ class TestFit:
         assert code == EXIT_USAGE
         assert "step > 0 and hi >= lo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["0:1e300:1e-300", "0.1:0.9:1e-16"])
+    def test_huge_range_is_usage_error(self, tmp_path, capsys, text):
+        # Refused before any grid is allocated.
+        pat = run_simulate(tmp_path)
+        code = main(["fit", "--in", str(pat), "--method", "pgf",
+                     "--mu0", "uniform:1", "--z=%s" % text])
+        assert code == EXIT_USAGE
+        assert "more than 1000000 points" in capsys.readouterr().err
+
+    def test_out_into_missing_directory_is_io_error(self, tmp_path, capsys):
+        pat = run_simulate(tmp_path)
+        code = main(["fit", "--in", str(pat), "--method", "pgf", "--mu0",
+                     "uniform:1", "--out", str(tmp_path / "no" / "fit.json")])
+        assert code == EXIT_IO
+        assert "I/O error" in capsys.readouterr().err
+
+    def test_in_a_directory_is_io_error(self, tmp_path, capsys):
+        code = main(["fit", "--in", str(tmp_path), "--window=-5:5",
+                     "--method", "pgf", "--mu0", "uniform:1"])
+        assert code == EXIT_IO
+        assert "I/O error" in capsys.readouterr().err
+
+    def test_non_convergence_writes_partial_result(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(estimation, "_MAX_ITER", 1)
+        pat = run_simulate(tmp_path)
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--in", str(pat), "--method", "void",
+                     "--mu0", "uniform:1", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "did not converge" in capsys.readouterr().err
+        blob = json.loads(out.read_text())
+        assert blob["converged"] is False and blob["n_iterations"] == 1
+
+    def test_em_mu0_selects_components(self, tmp_path, capsys):
+        gen = np.random.default_rng(1)
+        points = np.vstack([gen.normal(-5.0, 0.5, (100, 2)),
+                            gen.normal(5.0, 0.5, (100, 2))])
+        pat = tmp_path / "blobs.csv"
+        with open(pat, "w") as fh:
+            tasproc.write_pattern(tasproc.PointPattern(
+                points, Window([-10, -10], [10, 10])), fh)
+        out = tmp_path / "em.json"
+        code = main(["fit", "--in", str(pat), "--window=-10:10,-10:10",
+                     "--method", "em-mu0", "--k", "1:3", "--out", str(out)])
+        assert code == EXIT_OK
+        assert "selected 2 components" in capsys.readouterr().out
+        blob = json.loads(out.read_text())
+        means = sorted(c["mean"] for c in blob["components"])
+        assert np.allclose(means, [[-5.0, -5.0], [5.0, 5.0]], atol=0.3)
+
+    def test_pgf_with_cloud_mu0(self, tmp_path):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("x\n-1\n-0.5\n0\n0.5\n1\n")
+        pat = run_simulate(tmp_path)
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--in", str(pat), "--method", "pgf",
+                     "--mu0", "cloud:%s" % cloud, "--out", str(out)])
+        assert code == EXIT_OK
+        blob = json.loads(out.read_text())
+        assert blob["method"] == "count-pgf" and blob["converged"]
+        assert 0.0 < blob["alpha_hat"] < 1.0 and blob["lambda_hat"] > 0.0
+
     def test_degenerate_data_numeric_exit(self, tmp_path, capsys):
         # One test point on the only pattern point: no positive radius left.
         pat = tmp_path / "single.csv"
@@ -197,6 +293,18 @@ class TestFit:
 
 
 class TestGcurve:
+    def test_random_test_points_follow_seed_and_stream(self, tmp_path):
+        pat = run_simulate(tmp_path)
+
+        def curve(name, stream):
+            out = tmp_path / name
+            assert main(["gcurve", "--in", str(pat), "--out", str(out),
+                         "--test-points", "random:50", "--seed", "4",
+                         "--stream", stream]) == EXIT_OK
+            return out.read_bytes()
+        assert curve("a.csv", "2") == curve("b.csv", "2")
+        assert curve("a.csv", "2") != curve("c.csv", "3")
+
     def test_writes_empirical_and_analytic_csv(self, tmp_path):
         pat = run_simulate(tmp_path)
         out = tmp_path / "g.csv"
@@ -275,6 +383,46 @@ def test_non_finite_coverage_is_numeric_error(tmp_path, capsys):
     assert code == EXIT_NUMERIC
     assert "coverage integral is not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--method", "pgf", "--mu0", "uniform:1"],
+    ["fit", "--method", "void", "--mu0", "uniform:1"],
+    ["gcurve"],
+])
+@pytest.mark.parametrize("window", [
+    '{"lower": [-Infinity], "upper": [Infinity]}',
+    '{"lower": [0], "upper": [Infinity]}',
+    "--window=-1e308:1e308",
+])
+def test_infinite_window_is_usage_error(tmp_path, capsys, command, window):
+    # An infinite bound, or finite bounds whose side overflows.
+    pat = tmp_path / "pat.csv"
+    pat.write_text("x\n0\n1\n")
+    (tmp_path / "pat.csv.json").write_text(window)
+    option = [window] if window.startswith("--") else []
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command[0], "--in", str(pat), "--out", str(out),
+                     *option, *command[1:]])
+    assert code == EXIT_USAGE
+    assert "window bounds and side lengths must be finite" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar", ['{"upper": [5]}', '[[-5], [5]]',
+                                     '{"lower": null, "upper": [5]}'])
+def test_malformed_sidecar_is_usage_error(tmp_path, capsys, sidecar):
+    pat = tmp_path / "pat.csv"
+    pat.write_text("x\n0\n1\n")
+    (tmp_path / "pat.csv.json").write_text(sidecar)
+    code = main(["fit", "--in", str(pat), "--method", "pgf",
+                 "--mu0", "uniform:1"])
+    assert code == EXIT_USAGE
+    assert ("error: window sidecar must be a JSON object with 'lower' and "
+            "'upper' bounds") in capsys.readouterr().err
 
 
 def test_large_radius_ratio_fit(tmp_path):

@@ -49,8 +49,26 @@ class TestWindow:
         assert pts.shape == (400, 2)
         assert np.all(w.contains(pts))
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([-np.inf], [np.inf]),
+        ([0.0], [np.inf]),
+        ([0.0, -np.inf], [1.0, 1.0]),
+        # Finite bounds whose side overflows to inf.
+        ([-1e308], [1e308]),
+        ([0.0, -1.7e308], [1.0, 1.7e308]),
+    ])
+    def test_rejects_infinite_bounds_and_sides(self, lower, upper):
+        with pytest.raises(ValidationError, match="must be finite"):
+            Window(lower, upper)
+
+    def test_overflowing_volume_accepted(self):
+        # simulate_tas refuses such a window by its centre mean instead.
+        w = Window([0.0, 0.0], [1e200, 1e200])
+        assert w.side_lengths.tolist() == [1e200, 1e200]
+
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(finite, finite).filter(lambda b: b[0] < b[1]),
+    @given(st.lists(st.tuples(finite, finite).filter(
+               lambda b: b[0] < b[1] and b[1] - b[0] < np.inf),
                     min_size=1, max_size=3),
            st.dictionaries(st.text(), st.one_of(finite, st.integers(),
                                                 st.booleans(), st.text())))
@@ -62,6 +80,14 @@ class TestWindow:
         w2, meta = read_window_json(buf)
         assert w2 == w
         assert meta == metadata
+
+    @pytest.mark.parametrize("text", ['{"upper": [1.0]}', '{"lower": [0.0]}',
+                                      '{"lower": null, "upper": [1.0]}',
+                                      '[[0.0], [1.0]]'])
+    def test_malformed_sidecar_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="JSON object with 'lower' and "
+                                             "'upper' bounds"):
+            read_window_json(io.StringIO(text))
 
 
 class TestClusterDistributions:
@@ -122,6 +148,23 @@ class TestPatternCsv:
     def test_malformed_row_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
             read_pattern("x\n0.1\nnot-a-number\n", Window([-1], [1]))
+
+    @pytest.mark.parametrize("text", ["", "y\n0.5\n", "x,x\n0.5,0.5\n"])
+    def test_empty_stream_or_bad_header_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="line 1"):
+            read_pattern(text, Window([-1], [1]))
+
+    def test_four_dimensional_round_trip(self):
+        w = Window([0.0] * 4, [1.0] * 4)
+        pattern = PointPattern(np.random.default_rng(2).uniform(0, 1, (5, 4)),
+                               w)
+        text = write_pattern(pattern)
+        assert text.splitlines()[0] == "x0,x1,x2,x3"
+        again = read_pattern(text, w)
+        assert write_pattern(again) == text
+        assert np.array_equal(again.points,
+                              np.array([[float("%.12g" % v) for v in row]
+                                        for row in pattern.points]))
 
     def test_empty_pattern_is_header_only(self):
         pattern = PointPattern(np.empty((0, 2)), Window([0, 0], [1, 1]))
